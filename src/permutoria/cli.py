@@ -16,6 +16,7 @@ from . import counting as ct
 from . import gengraph as gg
 from . import involutions as iv
 from . import tableau as tb
+from .errors import PermutoriaError
 from .kernels import engine_name
 from .limits import DEFAULT_LIMITS
 from .permcore import PatternSet
@@ -47,7 +48,7 @@ def _emit_table(rows: list[tuple[str, int]], fmt: str):
 
 def cmd_count(args) -> int:
     limits = DEFAULT_LIMITS
-    patterns = PatternSet.parse(args.patterns) if args.patterns else None
+    patterns = args.patterns
     rows: list[tuple[str, int]] = []
     if args.sequence:
         ns = range(args.n + 1) if args.upto else [args.n]
@@ -83,8 +84,7 @@ def cmd_series(args) -> int:
     elif args.brute:
         if not args.patterns:
             raise SystemExit("--brute requires --patterns")
-        patterns = PatternSet.parse(args.patterns)
-        cells = ct.extended_table(patterns, total, DEFAULT_LIMITS)
+        cells = ct.extended_table(args.patterns, total, DEFAULT_LIMITS)
         series = series_from_cells(cells, orders)
     else:
         raise SystemExit("need --formula or --brute")
@@ -99,7 +99,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_discover(args) -> int:
-    patterns = PatternSet.parse(args.patterns)
+    patterns = args.patterns
     graph, _ = gg.discover_graph(
         patterns, args.rule, args.depth, args.fingerprint_depth, DEFAULT_LIMITS
     )
@@ -189,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("count", help="count avoiders or named sequences")
-    p.add_argument("--patterns", help="comma-separated patterns, e.g. 2413,3142")
+    p.add_argument(
+        "--patterns", type=PatternSet.parse, help="comma-separated patterns, e.g. 2413,3142"
+    )
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--upto", action="store_true", help="emit all sizes 0..n")
     p.add_argument("--da", action="store_true", help="doubly alternating avoiders")
@@ -205,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="expand a formula or a brute-force table")
     p.add_argument("--formula", help="expression in x, y, z and c(x)")
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--patterns")
+    p.add_argument("--patterns", type=PatternSet.parse)
     p.add_argument("--orders", type=_parse_orders, default=(6, 4, 4))
     p.add_argument("--total", type=int, help="total-degree cap (default: extended limit)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("discover", help="discover a generating graph")
-    p.add_argument("--patterns", required=True)
+    p.add_argument("--patterns", type=PatternSet.parse, required=True)
     p.add_argument(
         "--rule",
         choices=("standard", "standard-extended", "alt-extended"),
@@ -262,7 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PermutoriaError as exc:
+        print(f"permutoria: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

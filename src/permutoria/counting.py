@@ -1,14 +1,14 @@
 """Brute-force enumerators and counting oracles.
 
-Everything here is ground truth: plain backtracking with containment
-pruning, exact integers only.  Formulas, graphs and bijections elsewhere in
-the package are validated against these counts.
+Everything here is ground truth: the backtracking driver of ``kernels``
+with containment pruning, exact integers only.  Formulas, graphs and
+bijections elsewhere in the package are validated against these counts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Iterator
 
@@ -27,25 +27,7 @@ def enumerate_avoiders(
     """Yield S_n(patterns) exactly once each, in lexicographic order."""
     if n > limits.enumeration:
         raise LimitExceeded(f"n={n} exceeds enumeration limit {limits.enumeration}")
-    pats = patterns.patterns
-    word: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(pos: int) -> Iterator[Word]:
-        if pos == n:
-            yield tuple(word)
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            word.append(v)
-            if not kernels._prefix_blocked(word, pos + 1, pats):
-                used[v] = True
-                yield from rec(pos + 1)
-                used[v] = False
-            word.pop()
-
-    return rec(0)
+    return kernels.avoiding_words(n, patterns.patterns, kernels.unused_values)
 
 
 def count_avoiders(n: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -62,24 +44,7 @@ def enumerate_da(
     if n > limits.da:
         raise LimitExceeded(f"n={n} exceeds doubly alternating limit {limits.da}")
     pats = patterns.patterns if patterns is not None else ()
-    word: list[int] = []
-    used = [False] * (n + 2)
-
-    def rec(pos: int) -> Iterator[Word]:
-        if pos == n:
-            yield tuple(word)
-            return
-        for v in range(1, n + 1):
-            if used[v] or not kernels._da_value_ok(word, used, pos, v, n):
-                continue
-            word.append(v)
-            if not kernels._prefix_blocked(word, pos + 1, pats):
-                used[v] = True
-                yield from rec(pos + 1)
-                used[v] = False
-            word.pop()
-
-    return rec(0)
+    return kernels.avoiding_words(n, pats, kernels.da_values)
 
 
 def count_da(n: int, patterns: PatternSet | None = None, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -110,20 +75,29 @@ def _corners_of(word: Word) -> Iterator[tuple[int, int, tuple[tuple[int, int], .
                 yield (i, j, dots)
 
 
-def count_extended(
-    d: int, c: int, r: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS
-) -> int:
-    """|S_{d,c,r}(patterns)| by collecting distinct NW corners of avoiders."""
+def _cell_corners(
+    d: int, c: int, r: int, patterns: PatternSet, limits: Limits
+) -> set[tuple[tuple[int, int], ...]]:
+    """The dots of the distinct NW corners with d dots, d+c columns and d+r
+    rows of the avoiders of size d+c+r."""
     n = d + c + r
     if n > limits.extended:
         raise LimitExceeded(f"d+c+r={n} exceeds extended limit {limits.extended}")
     rows, cols = d + r, d + c
     seen = set()
-    for word in enumerate_avoiders(n, patterns, limits=_at_least(limits, n)):
+    wide = replace(limits, enumeration=max(limits.enumeration, n))
+    for word in enumerate_avoiders(n, patterns, wide):
         dots = tuple((k + 1, word[k]) for k in range(rows) if word[k] <= cols)
         if len(dots) == d:
             seen.add(dots)
-    return len(seen)
+    return seen
+
+
+def count_extended(
+    d: int, c: int, r: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS
+) -> int:
+    """|S_{d,c,r}(patterns)| by collecting distinct NW corners of avoiders."""
+    return len(_cell_corners(d, c, r, patterns, limits))
 
 
 def extended_table(
@@ -138,7 +112,8 @@ def extended_table(
         raise LimitExceeded(f"max_total={max_total} exceeds extended limit {limits.extended}")
     cells: dict[tuple[int, int, int], set] = {}
     for n in range(max_total + 1):
-        for word in enumerate_avoiders(n, patterns, limits=_at_least(limits, n)):
+        wide = replace(limits, enumeration=max(limits.enumeration, n))
+        for word in enumerate_avoiders(n, patterns, wide):
             for rows, cols, dots in _corners_of(word):
                 d = len(dots)
                 key = (d, cols - d, rows - d)
@@ -146,32 +121,12 @@ def extended_table(
     return {key: len(group) for key, group in cells.items()}
 
 
-def _at_least(limits: Limits, n: int) -> Limits:
-    if limits.enumeration >= n:
-        return limits
-    return Limits(
-        enumeration=n,
-        da=limits.da,
-        extended=limits.extended,
-        tree_depth=limits.tree_depth,
-        series_order=limits.series_order,
-    )
-
-
 def enumerate_extended(
     d: int, c: int, r: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS
 ) -> list[PartialPermutation]:
     """The elements of S_{d,c,r}(patterns), deterministic order."""
-    n = d + c + r
-    if n > limits.extended:
-        raise LimitExceeded(f"d+c+r={n} exceeds extended limit {limits.extended}")
-    rows, cols = d + r, d + c
-    seen = set()
-    for word in enumerate_avoiders(n, patterns, limits=_at_least(limits, n)):
-        dots = tuple((k + 1, word[k]) for k in range(rows) if word[k] <= cols)
-        if len(dots) == d:
-            seen.add(dots)
-    return [PartialPermutation(rows, cols, dots) for dots in sorted(seen)]
+    corners = sorted(_cell_corners(d, c, r, patterns, limits))
+    return [PartialPermutation(d + r, d + c, dots) for dots in corners]
 
 
 # ---------------------------------------------------------------------------

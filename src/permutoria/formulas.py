@@ -151,7 +151,6 @@ FORMULAS: dict[PatternSet, tuple[str, ...]] = {
     _ps("132,231,312"): (F_132_231_312,),
     _ps("132,231,321"): (F_132_231_321,),
     _ps("213,231,312"): (F_213_231_312,),
-    _ps("123,132,312"): (F_123_132_312,),
     _ps("213,231,321"): (F_213_231_321,),
     _ps("231,312,321"): (F_231_312_321,),
     _ps("123,132,213,312"): (F_123_132_213_312,),

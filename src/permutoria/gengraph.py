@@ -586,13 +586,6 @@ def walk_decode(walk: Walk, classifier: Classifier) -> PartialPermutation:
 # ladder gadgets
 
 
-def _geometric_inverse(orders: Orders, power: int) -> MultiSeries:
-    """1/(1-x)^power as an exact series."""
-    one = MultiSeries.constant(1, orders)
-    x = MultiSeries.variable("x", orders)
-    return one / ((one - x) ** power)
-
-
 def _ladder_dp(
     feeders: Sequence[MultiSeries],
     order: int,

@@ -436,15 +436,7 @@ def _row_insert(rows: list[list[int]], v: int) -> tuple[int, int]:
             rows.append([v])
             return r, 0
         row = rows[r]
-        idx = None
-        lo, hi = 0, len(row)
-        while lo < hi:  # leftmost entry strictly greater than v
-            mid = (lo + hi) // 2
-            if row[mid] > v:
-                hi = mid
-            else:
-                lo = mid + 1
-        idx = lo
+        idx = bisect_right(row, v)  # leftmost entry strictly greater than v
         if idx == len(row):
             row.append(v)
             return r, idx

@@ -1,58 +1,77 @@
-"""Counting kernels with a compiled fast path.
+"""The pattern matcher, the backtracking driver and the counting kernels.
 
-The backtracking counters below dominate the runtime of every brute-force
-suite, so they exist twice: a pure-Python reference implementation in this
-module and a Cython translation in ``_speedups.pyx``.  The compiled kernel
-is selected at import time when available; setting ``PERMUTORIA_PURE=1``
-forces the pure fallback.  Both implement the identical algorithm: insert
-values left to right and prune a prefix as soon as a pattern occurrence
-ends at the newest entry.
+One matcher, ``_ends_at_last``, answers the question every search here
+asks: does a pattern occurrence end at the entry just placed?  One driver,
+``avoiding_words``, places entries left to right from a caller's candidate
+values and prunes a prefix as soon as the matcher fires.  The plain
+counters ``count_avoiders_py`` and ``count_da_py``, the enumerators in
+``counting`` and the extensions of a partial permutation in ``permcore``
+all run on that driver.
 
-Without the compiled kernel, ``count_avoiders_raw`` is the memoised
-counter ``count_avoiders_memo``, which counts the completions of a prefix
-once per canonical state instead of once per leaf; ``count_avoiders_py``
-stays the plain backtracker and the oracle it is tested against.
+The counters dominate the runtime of every brute-force suite, so they exist
+twice: in pure Python here and as a Cython translation in ``_speedups.pyx``.
+The compiled kernel is selected at import time when available; setting
+``PERMUTORIA_PURE=1`` forces the pure fallback.  Without the compiled
+kernel, ``count_avoiders_raw`` is the memoised counter
+``count_avoiders_memo``, which counts the completions of a prefix once per
+canonical state instead of once per leaf.
+
+The oracles stay separate code: ``_speedups.pyx`` mirrors the plain
+counters, ``count_avoiders_py`` checks ``count_avoiders_memo``, and
+``permcore.contains_pattern_bruteforce`` checks the matcher.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
+Candidates = Callable[[list[int], list[bool], int], Iterable[int]]
 
 
-def _ends_at_last(word: list[int], length: int, pat: Pattern) -> bool:
-    """Does an occurrence of pat end exactly at word[length-1]?"""
+def _ends_at_last(word: Sequence[int], length: int, pat: Pattern) -> bool:
+    """Does an occurrence of pat end exactly at word[length-1]?
+
+    Slots 0..m-2 of pat are matched left to right by backtracking over
+    positions; a value fits a slot when it compares with the last entry and
+    with every value already matched as the pattern says.
+    """
     m = len(pat)
     if m > length:
         return False
-    v = word[length - 1]
     if m == 1:
         return True
-    chosen: list[int] = []
-
-    def go(slot: int, start: int) -> bool:
-        if slot == m - 1:
-            return True
-        for pos in range(start, length - (m - 1 - slot)):
+    v = word[length - 1]
+    top = pat[m - 1]
+    chosen = [0] * (m - 1)  # values matched to slots 0..slot-1
+    at = [0] * (m - 1)  # and their positions
+    slot = pos = 0
+    while True:
+        end = length - (m - 1 - slot)
+        want = pat[slot]
+        below = want < top
+        while pos < end:
             u = word[pos]
-            if (u < v) != (pat[slot] < pat[m - 1]):
-                continue
-            ok = True
-            for j in range(len(chosen)):
-                if (chosen[j] < u) != (pat[j] < pat[slot]):
-                    ok = False
+            if (u < v) == below:
+                for j in range(slot):
+                    if (chosen[j] < u) != (pat[j] < want):
+                        break
+                else:
                     break
-            if ok:
-                chosen.append(u)
-                if go(slot + 1, pos + 1):
-                    chosen.pop()
-                    return True
-                chosen.pop()
-        return False
-
-    return go(0, 0)
+            pos += 1
+        if pos < end:
+            chosen[slot] = u
+            at[slot] = pos
+            slot += 1
+            if slot == m - 1:
+                return True
+            pos += 1
+        elif slot:
+            slot -= 1
+            pos = at[slot] + 1
+        else:
+            return False
 
 
 def _prefix_blocked(word: list[int], length: int, patterns: Sequence[Pattern]) -> bool:
@@ -62,27 +81,53 @@ def _prefix_blocked(word: list[int], length: int, patterns: Sequence[Pattern]) -
     return False
 
 
-def count_avoiders_py(n: int, patterns: Sequence[Pattern]) -> int:
-    """|S_n(patterns)| by pruned backtracking."""
+def avoiding_words(
+    n: int, patterns: Sequence[Pattern], candidates: Candidates
+) -> Iterator[tuple[int, ...]]:
+    """Yield the words of length n whose prefixes all avoid patterns.
+
+    Position pos is filled with each value of ``candidates(word, used, pos)``
+    in turn, where word[:pos] is the prefix and ``used[v]`` marks the values
+    in it; candidates must be unused values.  A prefix is dropped as soon as
+    a pattern occurrence ends at its last entry, which is sound because
+    containment is monotone under extension.  Words come out in the order
+    the candidates give.
+    """
     patterns = tuple(tuple(p) for p in patterns)
     word = [0] * n
     used = [False] * (n + 1)
-
-    def rec(pos: int) -> int:
-        if pos == n:
-            return 1
-        total = 0
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
+    if n == 0:
+        yield ()
+        return
+    # one candidate iterator per filled position; word[pos] is the value
+    # taken from stack[pos], marked in used while deeper positions are open
+    stack = [iter(candidates(word, used, 0))]
+    while stack:
+        pos = len(stack) - 1
+        for v in stack[pos]:
             word[pos] = v
             if not _prefix_blocked(word, pos + 1, patterns):
-                used[v] = True
-                total += rec(pos + 1)
-                used[v] = False
-        return total
+                break
+        else:
+            stack.pop()
+            if pos:
+                used[word[pos - 1]] = False
+            continue
+        if pos + 1 == n:
+            yield tuple(word)
+        else:
+            used[v] = True
+            stack.append(iter(candidates(word, used, pos + 1)))
 
-    return rec(0)
+
+def unused_values(word: list[int], used: list[bool], pos: int) -> Iterator[int]:
+    """Every value not yet placed, in increasing order."""
+    return (v for v in range(1, len(word) + 1) if not used[v])
+
+
+def count_avoiders_py(n: int, patterns: Sequence[Pattern]) -> int:
+    """|S_n(patterns)| by pruned backtracking."""
+    return sum(1 for _ in avoiding_words(n, patterns, unused_values))
 
 
 # ---------------------------------------------------------------------------
@@ -251,53 +296,34 @@ def count_avoiders_memo(n: int, patterns: Sequence[Pattern]) -> int:
             memo[key] = total
         return total
 
-    return rec(n, (0,) * npats)
+    total = rec(n, (0,) * npats)
+    del rec  # rec refers to itself; unbinding it frees the tables now, not at the next gc pass
+    return total
 
 
-def _da_value_ok(word: list[int], used: list[bool], pos: int, v: int, n: int) -> bool:
-    """Constraints keeping the prefix completable to a doubly alternating word.
+def da_values(word: list[int], used: list[bool], pos: int) -> Iterator[int]:
+    """The unused values that keep the prefix completable to a doubly
+    alternating word, in increasing order.
 
     Position parity forces rise/descent against the previous entry; an even
     value may only be placed once both odd neighbours are already present,
     which is exactly what alternation of the inverse requires.
     """
-    if pos > 0:
-        prev = word[pos - 1]
-        if pos % 2 == 1:  # 1-based position pos+1 is even: strict rise
-            if v < prev:
-                return False
-        else:  # strict descent
-            if v > prev:
-                return False
-    if v % 2 == 0:
-        if not used[v - 1]:
-            return False
-        if v + 1 <= n and not used[v + 1]:
-            return False
-    return True
+    n = len(word)
+    if pos == 0:
+        low, high = 1, n
+    elif pos % 2 == 1:  # 1-based position pos+1 is even: strict rise
+        low, high = word[pos - 1] + 1, n
+    else:  # strict descent
+        low, high = 1, word[pos - 1] - 1
+    for v in range(low, high + 1):
+        if not used[v] and (v % 2 == 1 or (used[v - 1] and (v == n or used[v + 1]))):
+            yield v
 
 
 def count_da_py(n: int, patterns: Sequence[Pattern]) -> int:
     """|DA_n(patterns)| by pruned backtracking (patterns may be empty)."""
-    patterns = tuple(tuple(p) for p in patterns)
-    word = [0] * n
-    used = [False] * (n + 2)
-
-    def rec(pos: int) -> int:
-        if pos == n:
-            return 1
-        total = 0
-        for v in range(1, n + 1):
-            if used[v] or not _da_value_ok(word, used, pos, v, n):
-                continue
-            word[pos] = v
-            if not _prefix_blocked(word, pos + 1, patterns):
-                used[v] = True
-                total += rec(pos + 1)
-                used[v] = False
-        return total
-
-    return rec(0)
+    return sum(1 for _ in avoiding_words(n, patterns, da_values))
 
 
 _FORCE_PURE = os.environ.get("PERMUTORIA_PURE", "") not in ("", "0")

@@ -16,9 +16,10 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import ZeroObject
+from .kernels import _ends_at_last, avoiding_words
 
 Word = tuple[int, ...]
 GappedWord = tuple  # entries int or None
@@ -93,34 +94,9 @@ def contains_pattern(word: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains_pattern((7, 9, 3, 8, 1, 10, 5, 6, 2, 4), (1, 2, 3, 4))
     False
     """
-    word = tuple(word)
-    pattern = tuple(pattern)
-    m = len(pattern)
-    if m > len(word):
-        return False
-    if m == 0:
+    if not pattern:
         return True
-    return _match_from(word, pattern, 0, 0, [])
-
-
-def _match_from(word: Word, pattern: Word, slot: int, start: int, chosen: list[int]) -> bool:
-    if slot == len(pattern):
-        return True
-    remaining = len(pattern) - slot
-    for pos in range(start, len(word) - remaining + 1):
-        v = word[pos]
-        ok = True
-        for j, u in enumerate(chosen):
-            if (u < v) != (pattern[j] < pattern[slot]):
-                ok = False
-                break
-        if ok:
-            chosen.append(v)
-            if _match_from(word, pattern, slot + 1, pos + 1, chosen):
-                chosen.pop()
-                return True
-            chosen.pop()
-    return False
+    return any(_ends_at_last(word, k, pattern) for k in range(len(pattern), len(word) + 1))
 
 
 def contains_pattern_bruteforce(word: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -397,85 +373,25 @@ def extensions(pp: PartialPermutation, patterns: PatternSet) -> Iterator[Word]:
     """All permutations in S_{d+c+r}(patterns) having pp as their NW corner.
 
     Empty rows of pp receive their dots strictly right of pp's columns and
-    empty columns strictly below pp's rows; containment is pruned on
-    prefixes, which is sound because it is monotone under extension.
+    empty columns strictly below pp's rows.  The permutations come lazily
+    from the driver of ``kernels``, so the first one costs only the search
+    that finds it.
     """
     n = pp.size
     by_row = dict(pp.dots)
     fixed = [by_row.get(i) for i in range(1, pp.rows + 1)] + [None] * (n - pp.rows)
-    old_cols = pp.cols
-    used = [False] * (n + 1)
-    for _, c in pp.dots:
-        used[c] = True
-    pats = patterns.patterns
-    word: list[int] = []
+    rows, cols = pp.rows, pp.cols
 
-    def place(pos: int) -> Iterator[Word]:
-        if pos == n:
-            yield tuple(word)
-            return
+    def candidates(word: list[int], used: list[bool], pos: int) -> Iterable[int]:
         forced = fixed[pos]
         if forced is not None:
-            word.append(forced)
-            if not _new_entry_completes_pattern(word, pats):
-                yield from place(pos + 1)
-            word.pop()
-            return
-        # empty rows of pp only accept values beyond pp's columns
-        low = old_cols + 1 if pos < pp.rows else 1
-        for v in range(low, n + 1):
-            if used[v]:
-                continue
-            used[v] = True
-            word.append(v)
-            if not _new_entry_completes_pattern(word, pats):
-                yield from place(pos + 1)
-            word.pop()
-            used[v] = False
+            return (forced,)
+        # empty rows of pp only accept values beyond pp's columns; rows below
+        # pp come after every dot row, so the dot columns are already used
+        low = cols + 1 if pos < rows else 1
+        return (v for v in range(low, n + 1) if not used[v])
 
-    yield from place(0)
-
-
-def _new_entry_completes_pattern(word: Sequence[int], patterns: Sequence[Word]) -> bool:
-    """Does some pattern occurrence end exactly at the last entry of word?"""
-    last = len(word) - 1
-    for pat in patterns:
-        m = len(pat)
-        if m > len(word):
-            continue
-        if m == 1:
-            return True
-        if _ends_here(word, pat, last):
-            return True
-    return False
-
-
-def _ends_here(word: Sequence[int], pat: Word, last: int) -> bool:
-    v = word[last]
-    m = len(pat)
-    chosen: list[int] = []
-
-    def go(slot: int, start: int) -> bool:
-        if slot == m - 1:
-            return True
-        for pos in range(start, last - (m - 2 - slot)):
-            u = word[pos]
-            if (u < v) != (pat[slot] < pat[m - 1]):
-                continue
-            ok = True
-            for j, w in enumerate(chosen):
-                if (w < u) != (pat[j] < pat[slot]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(u)
-                if go(slot + 1, pos + 1):
-                    chosen.pop()
-                    return True
-                chosen.pop()
-        return False
-
-    return go(0, 0)
+    return avoiding_words(n, patterns.patterns, candidates)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -579,12 +495,6 @@ def children(
     pp: PartialPermutation, rule: ParentRule, patterns: PatternSet
 ) -> list[PartialPermutation]:
     return [child for _, child in children_with_kinds(pp, rule, patterns)]
-
-
-def fingerprint_cache_clear():
-    """Drop the memoized children/extendability tables (test hygiene)."""
-    children_with_kinds.cache_clear()
-    extendably_avoids.cache_clear()
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ to the companion box height.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import LimitExceeded, NotATableau, NotDominant
@@ -229,12 +229,6 @@ def make_tableau(
 
 
 EMPTY = make_tableau([])
-
-
-def with_letters(t: SkewTableau, letters: int, width: int | None = None) -> SkewTableau:
-    """Same filling, companion box raised to the given letter bound."""
-    width = t.box2[1] if width is None else width
-    return replace(t, box2=(letters, max(width, t.box2[1])))
 
 
 # ---------------------------------------------------------------------------

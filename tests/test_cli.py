@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permutoria import cli, verify
 from permutoria.cli import main
 
 
@@ -26,6 +27,19 @@ class TestCount:
     def test_extended_cell(self, capsys):
         code, out = run(capsys, "count", "--patterns", "123", "--dcr", "1,1,0")
         assert code == 0 and out.strip() == "1,1,0\t2"
+
+    def test_bad_patterns_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--patterns", "12a", "--n", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: argument --patterns" in err
+
+    def test_limit_exceeded_is_one_line(self, capsys):
+        code = main(["count", "--patterns", "123", "--n", "30"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "exceeds enumeration limit" in captured.err
 
 
 class TestSeries:
@@ -116,6 +130,24 @@ class TestVerify:
     def test_unknown_suite(self):
         with pytest.raises(KeyError):
             main(["verify", "no-such-suite"])
+
+    def test_all_runs_each_suite_once(self, capsys, monkeypatch):
+        ran = []
+
+        def fake_run_suite(name, scale):
+            ran.append(name)
+            return verify.SuiteReport(name, "stub", passed=1)
+
+        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        assert main(["verify", "all"]) == 0
+        suites = [verify.SUITES[name] for name in ran]
+        assert len(set(suites)) == len(suites) == len(set(verify.SUITES.values()))
+        assert "P2-appendixA" not in ran and "P2-formulas" in ran
+
+    def test_alias_runs_its_suite(self, monkeypatch):
+        stub = verify.SuiteReport("P2-formula-audit", "stub", passed=1)
+        monkeypatch.setitem(verify.SUITES, "P2-formulas", lambda scale: stub)
+        assert verify.run_suite("P2-appendixA") is stub
 
 
 def test_version(capsys):

@@ -188,6 +188,38 @@ class TestExtendability:
         assert pc.avoids_all(witness, ps)
         assert witness[:1] == (3,) and witness[3:6] == (2, 6, 5)
 
+    @staticmethod
+    def partial_permutations(max_size):
+        for rows in range(max_size + 1):
+            for cols in range(max_size + 1):
+                for d in range(max(0, rows + cols - max_size), min(rows, cols) + 1):
+                    for dot_rows in itertools.combinations(range(1, rows + 1), d):
+                        for dot_cols in itertools.permutations(range(1, cols + 1), d):
+                            yield pc.PartialPermutation(rows, cols, tuple(zip(dot_rows, dot_cols)))
+
+    @staticmethod
+    def has_nw_corner(w, pp):
+        by_row = dict(pp.dots)
+        return all(
+            w[i - 1] == by_row[i] if i in by_row else w[i - 1] > pp.cols
+            for i in range(1, pp.rows + 1)
+        ) and all(w.index(c) >= pp.rows for c in pp.empty_cols())
+
+    def test_extensions_match_bruteforce(self):
+        objects = list(self.partial_permutations(4))
+        assert len(objects) == len(set(objects)) == 184
+        for text in ("123", "2413", "213,4123"):
+            ps = pc.PatternSet.parse(text)
+            for pp in objects:
+                expect = {
+                    w
+                    for w in perms(pp.size)
+                    if self.has_nw_corner(w, pp)
+                    and not any(pc.contains_pattern_bruteforce(w, p) for p in ps)
+                }
+                got = list(pc.extensions(pp, ps))
+                assert len(got) == len(expect) and set(got) == expect, (pp, text)
+
 
 class TestParentChildren:
     def test_standard_parent(self):
