@@ -38,6 +38,28 @@ def _parse_orders(text: str) -> tuple[int, int, int]:
     return tuple(parts[:3])  # type: ignore[return-value]
 
 
+def _parse_tail(text: str) -> tuple[int, ...]:
+    if text and not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected digits, e.g. 34, got {text!r}")
+    return tuple(int(ch) for ch in text)
+
+
+def _parse_box(text: str) -> tuple[int, int]:
+    rows, sep, cols = text.partition("x")
+    if not (sep and rows.isdecimal() and cols.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, e.g. 4x4, got {text!r}")
+    return int(rows), int(cols)
+
+
+def _parse_tableau(text: str) -> tb.SkewTableau:
+    try:
+        return tb.SkewTableau.from_json(text)
+    except (ValueError, KeyError, TypeError, PermutoriaError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"not a JSON tableau ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def _emit_table(rows: list[tuple[str, int]], fmt: str):
     if fmt == "json":
         print(json.dumps({key: value for key, value in rows}))
@@ -123,10 +145,9 @@ def cmd_biject(args) -> int:
         for w in ct.enumerate_da(args.n, PatternSet.parse("2413"), limits):
             rows.append((w, bj.theta(w)))
     elif args.name == "psi":
-        tail = tuple(int(ch) for ch in args.tau)
-        head = PatternSet([(1, 2) + tail])
+        head = PatternSet([(1, 2) + args.tau])
         for w in ct.enumerate_da(args.n, head, limits):
-            rows.append((w, bj.psi(w, tail)))
+            rows.append((w, bj.psi(w, args.tau)))
     else:
         raise SystemExit(f"unknown bijection {args.name}")
     for source, image in rows:
@@ -137,7 +158,7 @@ def cmd_biject(args) -> int:
 
 
 def cmd_tableau(args) -> int:
-    t = tb.SkewTableau.from_json(args.input)
+    t = args.input
     ops = {
         "jdt": iv.jdt,
         "evacuate": iv.schuetzenberger,
@@ -163,8 +184,7 @@ def cmd_tableau(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    box = tuple(int(x) for x in args.box.split("x")) if args.box else (4, 4)
-    scale = Scale(box=box, letters=args.letters, seed=args.seed)
+    scale = Scale(box=args.box, letters=args.letters, seed=args.seed)
     worst = 0
     for name in names:
         report = run_suite(name, scale)
@@ -180,8 +200,14 @@ def cmd_verify(args) -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error in one line, as every other input error is."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permutoria",
         description="Pattern-avoiding permutations, generating graphs and tableau involutions",
     )
@@ -229,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("biject", help="tabulate one of the explicit bijections")
     p.add_argument("--name", choices=("phi", "theta", "psi"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", default="34", help="pattern tail for psi, e.g. 34")
+    p.add_argument("--tau", type=_parse_tail, default="34", help="pattern tail for psi, e.g. 34")
     p.set_defaults(func=cmd_biject)
 
     p = sub.add_parser("tableau", help="apply a tableau map to a JSON tableau")
@@ -238,13 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("jdt", "evacuate", "reversal", "rotate", "omega", "rsk", "rec"),
         required=True,
     )
-    p.add_argument("--input", required=True, help="JSON tableau")
+    p.add_argument("--input", type=_parse_tableau, required=True, help="JSON tableau")
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_tableau)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help="suite name or 'all'")
-    p.add_argument("--box", help="bounding box for tableau suites, e.g. 4x4")
+    p.add_argument(
+        "--box", type=_parse_box, default="4x4", help="bounding box for tableau suites, e.g. 4x4"
+    )
     p.add_argument("--letters", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")

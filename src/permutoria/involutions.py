@@ -6,12 +6,18 @@ switching is a Bender-Knuth block word but also an outward-sliding
 procedure; the matrix RSK inverse is reverse bumping but also a switching
 identity.  Each pair is kept as two independent code paths so the test
 suites can play them against each other.
+
+Every sliding route (``jdt``, ``jdt_slide``, ``evacuation`` and
+``tableau_switch_sliding``) moves its holes with the one jeu-de-taquin slide
+``_slide`` on a ``{(row, col): entry}`` grid.  The Bender-Knuth routes
+(``bender_knuth``, ``apply_bk_word``, ``tableau_switch``, ``omega_bk``) work
+on the rows or on their cut form and share no code with it.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -23,6 +29,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .tableau import (
+    FLIP_ORIENTATION,
+    Grid,
     Partition,
     SkewTableau,
     canonical,
@@ -31,6 +39,8 @@ from .tableau import (
     contains,
     enumerate_lr,
     enumerate_ssyt,
+    grid_rows,
+    is_anti_lr,
     is_lr,
     normalize,
     partitions_of,
@@ -39,8 +49,6 @@ from .tableau import (
     tableau_from_recording,
     transpose_matrix,
 )
-
-Grid = dict[tuple[int, int], int]
 
 
 def _grid(t: SkewTableau) -> Grid:
@@ -68,50 +76,51 @@ def _removable_corners(inner: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
+def _slide(grid: Grid, r: int, c: int) -> tuple[int, int]:
+    """Move the hole at (r, c) right or down until neither neighbour is in
+    the grid; the smaller neighbour fills it, the lower one on a tie.
+    Returns the cell where the hole stops."""
+    while True:
+        right = grid.get((r, c + 1))
+        below = grid.get((r + 1, c))
+        if below is not None and (right is None or below <= right):
+            grid[(r, c)] = grid.pop((r + 1, c))
+            r += 1
+        elif right is not None:
+            grid[(r, c)] = grid.pop((r, c + 1))
+            c += 1
+        else:
+            return r, c
+
+
+def _slide_inward(
+    t: SkewTableau, pick: Callable[[list], tuple[int, int] | None]
+) -> SkewTableau:
+    """Slide into the inner corners that pick chooses, all on one grid,
+    until it chooses None; the tableau is built once, at the end."""
+    inner, outer, grid = list(t.padded_inner()), list(t.outer), _grid(t)
+    while (corner := pick(_removable_corners(inner))) is not None:
+        r, c = corner
+        inner[r] -= 1
+        r, _ = _slide(grid, r, c)
+        outer[r] -= 1
+    new_outer, new_inner = normalize(outer), normalize(inner)
+    rows = grid_rows(grid, new_outer, new_inner)
+    return SkewTableau(new_outer, new_inner, rows, t.box1, t.box2, t.orientation)
+
+
 def jdt_slide(t: SkewTableau, corner: tuple[int, int]) -> SkewTableau:
     """One inward slide starting from a removable inner corner."""
-    inner = list(t.padded_inner())
-    outer = list(t.outer)
-    if corner not in _removable_corners(inner):
+    if corner not in _removable_corners(t.padded_inner()):
         raise NotInnerCorner(f"{corner} is not a removable corner of {t.inner}")
-    grid = _grid(t)
-    r, c = corner
-    inner[r] -= 1
-    while True:
-        right = grid.get((r, c + 1)) if c + 1 < outer[r] else None
-        below = (
-            grid.get((r + 1, c))
-            if r + 1 < len(outer) and inner[r + 1] <= c < outer[r + 1]
-            else None
-        )
-        if right is None and below is None:
-            break
-        if right is None or (below is not None and below <= right):
-            grid[(r, c)] = below
-            del grid[(r + 1, c)]
-            r += 1
-        else:
-            grid[(r, c)] = right
-            del grid[(r, c + 1)]
-            c += 1
-    outer[r] -= 1
-    new_outer = normalize(tuple(outer))
-    new_inner = normalize(tuple(inner[: len(new_outer)]))
-    rows = tuple(
-        tuple(grid[(i, cc)] for cc in range(
-            (new_inner + (0,) * len(new_outer))[i], new_outer[i]))
-        for i in range(len(new_outer))
-    )
-    return SkewTableau(new_outer, new_inner, rows, t.box1, t.box2, t.orientation)
+    once = iter([corner])
+    return _slide_inward(t, lambda corners: next(once, None))
 
 
 def jdt(t: SkewTableau, corner_order: Callable[[list], tuple[int, int]] | None = None) -> SkewTableau:
     """Slide to partition shape; the result is order-independent."""
     pick = corner_order or (lambda corners: corners[-1])
-    while t.inner:
-        corners = _removable_corners(t.padded_inner())
-        t = jdt_slide(t, pick(corners))
-    return t
+    return _slide_inward(t, lambda corners: pick(corners) if corners else None)
 
 
 def jdt_random_order(t: SkewTableau, seed: int) -> SkewTableau:
@@ -286,36 +295,14 @@ def evacuation(t: SkewTableau) -> SkewTableau:
     if t.inner:
         raise NotPartitionShaped("defined on partition shapes only")
     m = t.letters
-    outer = list(t.outer)
     grid = _grid(t)
     result: Grid = {}
     while grid:
         v = min(grid.values())
         r, c = max((rc for rc, val in grid.items() if val == v), key=lambda rc: rc[1])
         del grid[(r, c)]
-        while True:
-            right = grid.get((r, c + 1)) if c + 1 < outer[r] else None
-            below = (
-                grid.get((r + 1, c))
-                if r + 1 < len(outer) and c < outer[r + 1]
-                else None
-            )
-            if right is None and below is None:
-                break
-            if right is None or (below is not None and below <= right):
-                grid[(r, c)] = below
-                del grid[(r + 1, c)]
-                r += 1
-            else:
-                grid[(r, c)] = right
-                del grid[(r, c + 1)]
-                c += 1
-        outer[r] -= 1
-        result[(r, c)] = m + 1 - v
-    rows = tuple(
-        tuple(result[(i, cc)] for cc in range(t.outer[i])) for i in range(len(t.outer))
-    )
-    return SkewTableau(t.outer, (), rows, t.box1, t.box2, t.orientation)
+        result[_slide(grid, r, c)] = m + 1 - v
+    return SkewTableau(t.outer, (), grid_rows(result, t.outer), t.box1, t.box2, t.orientation)
 
 
 def anti_canonical(shape: Partition, box2: tuple[int, int] | None = None) -> SkewTableau:
@@ -354,20 +341,13 @@ def _split_stacked(
     The small values form a prefix of every row, so the cut shape is
     inner_r + (number of small cells in row r).
     """
-    pad_inner = inner + (0,) * (len(outer) - len(inner))
     counts = [0] * len(outer)
     for (r, _c) in low:
         counts[r] += 1
-    cut = tuple(pad_inner[r] + counts[r] for r in range(len(outer)))
-    low_rows = tuple(
-        tuple(low[(r, c)] for c in range(pad_inner[r], cut[r])) for r in range(len(outer))
-    )
-    high_rows = tuple(
-        tuple(high[(r, c)] for c in range(cut[r], outer[r])) for r in range(len(outer))
-    )
-    cut_n = normalize(cut)
-    inner_t = SkewTableau(cut_n, inner, low_rows[: len(cut_n)], box1, low_box2, low_orient)
-    outer_t = SkewTableau(outer, cut_n, high_rows, box1, high_box2, high_orient)
+    pad_inner = inner + (0,) * (len(outer) - len(inner))
+    cut = normalize(tuple(p + k for p, k in zip(pad_inner, counts)))
+    inner_t = SkewTableau(cut, inner, grid_rows(low, cut, inner), box1, low_box2, low_orient)
+    outer_t = SkewTableau(outer, cut, grid_rows(high, outer, cut), box1, high_box2, high_orient)
     return inner_t, outer_t
 
 
@@ -397,29 +377,12 @@ def tableau_switch_sliding(s: SkewTableau, t: SkewTableau) -> tuple[SkewTableau,
     """Oracle route: slide the inner squares outward, largest value first,
     rightmost first among equals; settled squares act as walls."""
     _check_stacked(s, t)
-    box1 = _union_box(s, t)
-    nrows = box1[0]
-    s_grid = _grid(s)
     t_grid = _grid(t)
     settled: Grid = {}
-    order = sorted(s_grid.items(), key=lambda item: (-item[1], -item[0][1], -item[0][0]))
-    for (r0, c0), v in order:
-        del s_grid[(r0, c0)]
-        r, c = r0, c0
-        while True:
-            right = t_grid.get((r, c + 1))
-            below = t_grid.get((r + 1, c))
-            if right is None and below is None:
-                break
-            if right is None or (below is not None and below <= right):
-                t_grid[(r, c)] = below
-                del t_grid[(r + 1, c)]
-                r += 1
-            else:
-                t_grid[(r, c)] = right
-                del t_grid[(r, c + 1)]
-                c += 1
-        settled[(r, c)] = v
+    order = sorted(_grid(s).items(), key=lambda item: (-item[1], -item[0][1], -item[0][0]))
+    for (r, c), v in order:
+        settled[_slide(t_grid, r, c)] = v
+    box1 = _union_box(s, t)
     return _split_stacked(
         s.inner, t.outer, t_grid, settled, box1, t.box2, s.box2, t.orientation, s.orientation
     )
@@ -483,14 +446,7 @@ def rsk_matrix_inverse(p: SkewTableau, q: SkewTableau) -> tuple[tuple[int, ...],
             p_rows.pop()
         for r in range(r0 - 1, -1, -1):
             row = p_rows[r]
-            lo, hi = 0, len(row)
-            while lo < hi:  # rightmost entry strictly less than x
-                mid = (lo + hi) // 2
-                if row[mid] < x:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            idx = lo - 1
+            idx = bisect_left(row, x) - 1  # rightmost entry strictly less than x
             row[idx], x = x, row[idx]
         matrix[i_val - 1][x - 1] += 1
     return tuple(tuple(r) for r in matrix)
@@ -566,14 +522,13 @@ def reversal_with(t: SkewTableau, s: SkewTableau) -> SkewTableau:
     s2, t2 = tableau_switch(u, s1)
     if content_key(s2) != content_key(s):
         raise CanonicalAssertFailed("switching did not return the helper tableau")
-    flip = {"lr": "anti", "anti": "lr", None: None}[t.orientation]
-    return replace(t2, orientation=flip)
+    return replace(t2, orientation=FLIP_ORIENTATION[t.orientation])
 
 
 def reversal(t: SkewTableau) -> SkewTableau:
     """Weight-reversing involution on arbitrary skew tableaux."""
     if not t.inner:
-        return replace(schuetzenberger(t), orientation={"lr": "anti", "anti": "lr", None: None}[t.orientation])
+        return replace(schuetzenberger(t), orientation=FLIP_ORIENTATION[t.orientation])
     return reversal_with(t, canonical(t.inner))
 
 
@@ -595,6 +550,25 @@ def _assert_anti_canonical(t: SkewTableau):
         raise CanonicalAssertFailed(f"expected the anti-canonical tableau, got\n{t.pretty()}")
 
 
+def _symmetry_map(t: SkewTableau, dual: bool) -> SkewTableau:
+    """Switch t against a helper filling its inner shape and check that the
+    helper comes out as the canonical tableau of its branch.
+
+    The helper is canonical on the LR branch and anti-canonical on the anti
+    branch, and the other way round for the dual map, which flips the
+    branch.
+    """
+    lr = _orientation_of(t) == "lr"
+    if lr and not is_lr(t):
+        raise NotLR("flag says Littlewood-Richardson but the word is not Yamanouchi")
+    if not lr and not is_anti_lr(t):
+        raise NotLR("flag says anti-Littlewood-Richardson but the rotation is not")
+    helper = anti_canonical if lr == dual else canonical
+    first, second = tableau_switch(helper(t.inner), t)
+    (_assert_canonical if lr else _assert_anti_canonical)(first)
+    return replace(second, orientation=FLIP_ORIENTATION[t.orientation]) if dual else second
+
+
 def rho(t: SkewTableau) -> SkewTableau:
     """Fundamental symmetry map on the two-branch union.
 
@@ -602,43 +576,13 @@ def rho(t: SkewTableau) -> SkewTableau:
     shape and must reveal the canonical tableau of the weight; the anti
     branch uses the anti-canonical tableaux instead.
     """
-    branch = _orientation_of(t)
-    if branch == "lr":
-        if not is_lr(t):
-            raise NotLR("flag says Littlewood-Richardson but the word is not Yamanouchi")
-        helper = canonical(t.inner)
-        first, second = tableau_switch(helper, t)
-        _assert_canonical(first)
-        return second
-    from .tableau import is_anti_lr
-
-    if not is_anti_lr(t):
-        raise NotLR("flag says anti-Littlewood-Richardson but the rotation is not")
-    helper = anti_canonical(t.inner)
-    first, second = tableau_switch(helper, t)
-    _assert_anti_canonical(first)
-    return second
+    return _symmetry_map(t, dual=False)
 
 
 def rho_dual(t: SkewTableau) -> SkewTableau:
     """The dual symmetry map: canonical and anti-canonical roles exchanged;
     flips the branch."""
-    branch = _orientation_of(t)
-    if branch == "lr":
-        if not is_lr(t):
-            raise NotLR("flag says Littlewood-Richardson but the word is not Yamanouchi")
-        helper = anti_canonical(t.inner)
-        first, second = tableau_switch(helper, t)
-        _assert_canonical(first)
-        return replace(second, orientation="anti")
-    from .tableau import is_anti_lr
-
-    if not is_anti_lr(t):
-        raise NotLR("flag says anti-Littlewood-Richardson but the rotation is not")
-    helper = canonical(t.inner)
-    first, second = tableau_switch(helper, t)
-    _assert_anti_canonical(first)
-    return replace(second, orientation="lr")
+    return _symmetry_map(t, dual=True)
 
 
 def rsk_tableau_inverse(p: SkewTableau, q: SkewTableau, shape_outer: Partition, shape_inner: Partition) -> SkewTableau:

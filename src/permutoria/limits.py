@@ -4,11 +4,15 @@ Defaults keep every brute-force search at desk scale.  The environment
 variable ``PERMUTORIA_LIMITS`` overrides individual caps, e.g.::
 
     PERMUTORIA_LIMITS="enumeration=12,da=16"
+
+An item with an unknown key or a value that is not an integer is skipped
+with a warning.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 
@@ -33,8 +37,13 @@ def _from_env() -> Limits:
             continue
         key, _, value = item.partition("=")
         key = key.strip()
-        if key in Limits.__dataclass_fields__:
+        if key not in Limits.__dataclass_fields__:
+            warnings.warn(f"PERMUTORIA_LIMITS: ignoring {item!r}: unknown key", stacklevel=2)
+            continue
+        try:
             overrides[key] = int(value)
+        except ValueError:
+            warnings.warn(f"PERMUTORIA_LIMITS: ignoring {item!r}: not an integer", stacklevel=2)
     return replace(limits, **overrides)
 
 

@@ -495,9 +495,3 @@ def children(
     pp: PartialPermutation, rule: ParentRule, patterns: PatternSet
 ) -> list[PartialPermutation]:
     return [child for _, child in children_with_kinds(pp, rule, patterns)]
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

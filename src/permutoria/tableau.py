@@ -13,9 +13,13 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import LimitExceeded, NotATableau, NotDominant
+from .errors import NotATableau, NotDominant
 
 Partition = tuple[int, ...]
+Grid = dict[tuple[int, int], int]
+
+# The orientation of a tableau's image under a branch-exchanging map.
+FLIP_ORIENTATION = {"lr": "anti", "anti": "lr", None: None}
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -231,6 +235,12 @@ def make_tableau(
 EMPTY = make_tableau([])
 
 
+def grid_rows(grid: Grid, outer: Partition, inner: Partition = ()) -> tuple[tuple[int, ...], ...]:
+    """The rows of outer/inner read off a {(row, col): entry} grid."""
+    pad = inner + (0,) * (len(outer) - len(inner))
+    return tuple(tuple(grid[(r, c)] for c in range(pad[r], outer[r])) for r in range(len(outer)))
+
+
 # ---------------------------------------------------------------------------
 # words and the Littlewood-Richardson condition
 
@@ -373,7 +383,7 @@ def rotate(t: SkewTableau) -> SkewTableau:
     new_outer = complement_in_box(t.inner, r1, c1)
     new_inner = complement_in_box(t.outer, r1, c1)
     m = rotate_matrix(recording_matrix(t))
-    flip = {"lr": "anti", "anti": "lr", None: None}[t.orientation]
+    flip = FLIP_ORIENTATION[t.orientation]
     return tableau_from_recording(new_outer, new_inner, m, t.box1, t.box2, flip)
 
 
@@ -409,7 +419,6 @@ def enumerate_ssyt(
     weight: Partition | None = None,
     box1: tuple[int, int] | None = None,
     box2: tuple[int, int] | None = None,
-    cap: int | None = None,
 ) -> Iterator[SkewTableau]:
     """All semistandard fillings of outer/inner, deterministic order.
 
@@ -426,24 +435,14 @@ def enumerate_ssyt(
     for i in range(len(outer)):
         for c in range(pad_inner[i], outer[i]):
             cells.append((i, c))
-    grid: dict[tuple[int, int], int] = {}
+    grid: Grid = {}
     remaining = list(weight) if weight is not None else None
-    count = 0
+    b1 = box1 or (len(outer), outer[0] if outer else 0)
+    b2 = box2 or (max_letter, max(sum(outer) - sum(inner), 1))
 
     def rec(idx: int) -> Iterator[SkewTableau]:
-        nonlocal count
         if idx == len(cells):
-            rows = []
-            for i in range(len(outer)):
-                rows.append(
-                    tuple(grid[(i, c)] for c in range(pad_inner[i], outer[i]))
-                )
-            b1 = box1 or (len(outer), outer[0] if outer else 0)
-            b2 = box2 or (max_letter, max(sum(outer) - sum(inner), 1))
-            count += 1
-            if cap is not None and count > cap:
-                raise LimitExceeded(f"more than {cap} tableaux")
-            yield SkewTableau(outer, inner, tuple(rows), b1, b2)
+            yield SkewTableau(outer, inner, grid_rows(grid, outer, inner), b1, b2)
             return
         i, c = cells[idx]
         lo = 1
@@ -487,18 +486,15 @@ def enumerate_lr(
     for i in range(len(outer)):
         for c in range(outer[i] - 1, pad_inner[i] - 1, -1):
             cells.append((i, c))
-    grid: dict[tuple[int, int], int] = {}
+    grid: Grid = {}
     remaining = list(weight)
     prefix = [0] * (len(weight) + 1)
+    b1 = box1 or (len(outer), outer[0] if outer else 0)
+    b2 = box2 or (len(weight), weight[0] if weight else 0)
 
     def rec(idx: int) -> Iterator[SkewTableau]:
         if idx == len(cells):
-            rows = []
-            for i in range(len(outer)):
-                rows.append(tuple(grid[(i, c)] for c in range(pad_inner[i], outer[i])))
-            b1 = box1 or (len(outer), outer[0] if outer else 0)
-            b2 = box2 or (len(weight), weight[0] if weight else 0)
-            yield SkewTableau(outer, inner, tuple(rows), b1, b2, orientation="lr")
+            yield SkewTableau(outer, inner, grid_rows(grid, outer, inner), b1, b2, orientation="lr")
             return
         i, c = cells[idx]
         lo, hi = 1, len(weight)

@@ -150,6 +150,24 @@ class TestVerify:
         assert verify.run_suite("P2-appendixA") is stub
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["biject", "--name", "psi", "--n", "4", "--tau", "3a"],
+        ["verify", "P1-prop7.2", "--box", "4y4"],
+        ["tableau", "--op", "jdt", "--input", "{"],
+        ["tableau", "--op", "jdt", "--input", '{"outer":[1]}'],
+    ],
+    ids=["tau", "box", "json", "json-key"],
+)
+def test_malformed_input_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "error: argument --" in captured.err
+
+
 def test_version(capsys):
     code = main(["--version"])
     out = capsys.readouterr().out

@@ -161,6 +161,15 @@ class TestLimitsEnv:
         monkeypatch.setenv("PERMUTORIA_LIMITS", "bogus=1,enumeration=9")
         assert lm._from_env().enumeration == 9
 
+    def test_env_skips_non_integer(self, monkeypatch):
+        from permutoria import limits as lm
+
+        monkeypatch.setenv("PERMUTORIA_LIMITS", "enumeration=abc,da=9")
+        with pytest.warns(UserWarning) as caught:
+            parsed = lm._from_env()
+        assert parsed.enumeration == lm.Limits().enumeration and parsed.da == 9
+        assert len(caught) == 1 and "enumeration=abc" in str(caught[0].message)
+
 
 class TestConjectures:
     def test_reports_have_rows_and_never_raise(self):

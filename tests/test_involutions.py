@@ -47,6 +47,17 @@ class TestJdt:
         for t in small_universe():
             assert iv.jdt(t).weight() == t.weight()
 
+    @pytest.mark.parametrize("corner_order", [None, lambda cs: cs[0]])
+    def test_jdt_is_slide_fold(self, corner_order):
+        pick = corner_order or (lambda cs: cs[-1])
+        for t in small_universe():
+            if not t.inner:
+                continue
+            s = t
+            while s.inner:
+                s = iv.jdt_slide(s, pick(iv._removable_corners(s.padded_inner())))
+            assert iv.jdt(t, corner_order) == s  # every field, boxes and orientation too
+
 
 class TestBenderKnuth:
     def test_rule_example(self):
@@ -373,6 +384,21 @@ class TestRhoOmega:
             chi = iv.reversal(t)
             assert ck(iv.rho_dual(iv.rho(t))) == ck(chi)
             assert ck(iv.rho(iv.rho_dual(t))) == ck(chi)
+
+    def test_anti_branch(self):
+        for t in lr_universe(3, 3, 3):
+            x = tb.rotate(t)
+            assert iv.rho(iv.rho(x)) == x
+            assert iv.rho_dual(iv.rho(x)) == iv.reversal(x)
+            assert iv.rho_dual(x).orientation == "lr"
+
+    def test_anti_flag_content_mismatch(self):
+        t = tb.make_tableau([[1], [1, 2]], inner=(1,), box2=(2, 2), orientation="anti")
+        assert not tb.is_anti_lr(t)
+        with pytest.raises(NotLR):
+            iv.rho(t)
+        with pytest.raises(NotLR):
+            iv.rho_dual(t)
 
     def test_omega_routes_and_involution(self):
         for t in ssyt_universe(3, 3, 2):

@@ -1,3 +1,4 @@
+import doctest
 import itertools
 
 import pytest
@@ -265,3 +266,8 @@ class TestParentChildren:
         pp = pc.PartialPermutation.from_permutation((1, 2))
         kinds = [k for k, _ in pc.children_with_kinds(pp, "standard-extended", ps)]
         assert kinds == sorted(kinds, key=["dot", "column", "row"].index)
+
+
+def test_docstring_examples():
+    result = doctest.testmod(pc)
+    assert result.attempted > 0 and result.failed == 0
