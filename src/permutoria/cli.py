@@ -25,17 +25,25 @@ from .verify import CONJECTURE_SUITES, SUITES, Scale, run_suite
 
 
 def _parse_dcr(text: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected d,c,r")
-    return tuple(parts)  # type: ignore[return-value]
+    try:
+        d, c, r = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected d,c,r as three integers, got {text!r}"
+        ) from None
+    return d, c, r
 
 
 def _parse_orders(text: str) -> tuple[int, int, int]:
-    parts = [int(x) for x in text.split(",")]
-    while len(parts) < 3:
-        parts.append(0)
-    return tuple(parts[:3])  # type: ignore[return-value]
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
+    if not 1 <= len(parts) <= 3:
+        raise argparse.ArgumentTypeError(
+            f"expected one to three integer orders x,y,z, got {text!r}"
+        )
+    return tuple(parts + [0] * (3 - len(parts)))  # type: ignore[return-value]
 
 
 def _parse_tail(text: str) -> tuple[int, ...]:

@@ -13,8 +13,7 @@ from math import comb
 from typing import Iterator
 
 from . import kernels
-from .errors import LimitExceeded
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import DEFAULT_LIMITS, Limits, enforce
 from .permcore import PartialPermutation, PatternSet, Word
 
 # ---------------------------------------------------------------------------
@@ -25,15 +24,13 @@ def enumerate_avoiders(
     n: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[Word]:
     """Yield S_n(patterns) exactly once each, in lexicographic order."""
-    if n > limits.enumeration:
-        raise LimitExceeded(f"n={n} exceeds enumeration limit {limits.enumeration}")
+    enforce(limits, "enumeration", "n", n)
     return kernels.avoiding_words(n, patterns.patterns, kernels.unused_values)
 
 
 def count_avoiders(n: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS) -> int:
     """|S_n(patterns)| without materializing the permutations."""
-    if n > limits.enumeration:
-        raise LimitExceeded(f"n={n} exceeds enumeration limit {limits.enumeration}")
+    enforce(limits, "enumeration", "n", n)
     return kernels.count_avoiders_raw(n, patterns.patterns)
 
 
@@ -41,16 +38,14 @@ def enumerate_da(
     n: int, patterns: PatternSet | None = None, limits: Limits = DEFAULT_LIMITS
 ) -> Iterator[Word]:
     """Yield DA_n(patterns) in lexicographic order (patterns optional)."""
-    if n > limits.da:
-        raise LimitExceeded(f"n={n} exceeds doubly alternating limit {limits.da}")
+    enforce(limits, "da", "n", n)
     pats = patterns.patterns if patterns is not None else ()
     return kernels.avoiding_words(n, pats, kernels.da_values)
 
 
 def count_da(n: int, patterns: PatternSet | None = None, limits: Limits = DEFAULT_LIMITS) -> int:
     """|DA_n(patterns)|; with patterns=None this is |DA_n|."""
-    if n > limits.da:
-        raise LimitExceeded(f"n={n} exceeds doubly alternating limit {limits.da}")
+    enforce(limits, "da", "n", n)
     pats = patterns.patterns if patterns is not None else ()
     return kernels.count_da_raw(n, pats)
 
@@ -81,8 +76,7 @@ def _cell_corners(
     """The dots of the distinct NW corners with d dots, d+c columns and d+r
     rows of the avoiders of size d+c+r."""
     n = d + c + r
-    if n > limits.extended:
-        raise LimitExceeded(f"d+c+r={n} exceeds extended limit {limits.extended}")
+    enforce(limits, "extended", "d+c+r", n)
     rows, cols = d + r, d + c
     seen = set()
     wide = replace(limits, enumeration=max(limits.enumeration, n))
@@ -108,8 +102,7 @@ def extended_table(
     For each n the corners with rows+cols-dots = n of the size-n avoiders
     are exactly the extendably avoiding objects of total size n.
     """
-    if max_total > limits.extended:
-        raise LimitExceeded(f"max_total={max_total} exceeds extended limit {limits.extended}")
+    enforce(limits, "extended", "max_total", max_total)
     cells: dict[tuple[int, int, int], set] = {}
     for n in range(max_total + 1):
         wide = replace(limits, enumeration=max(limits.enumeration, n))
@@ -275,8 +268,7 @@ CONJECTURES = {
 
 def conjecture_report(name: str, n_max: int, limits: Limits = DEFAULT_LIMITS) -> ConjectureReport:
     """Tabulate a conjecture; mismatches are reported, never raised."""
-    if n_max > limits.da:
-        raise LimitExceeded(f"n_max={n_max} exceeds doubly alternating limit {limits.da}")
+    enforce(limits, "da", "n_max", n_max)
     return CONJECTURES[name](name, n_max, limits)
 
 

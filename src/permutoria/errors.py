@@ -9,6 +9,10 @@ class LimitExceeded(PermutoriaError):
     """A requested size is beyond the configured enumeration caps."""
 
 
+class UnknownSuite(PermutoriaError):
+    """No verification suite has the requested name."""
+
+
 class ZeroObject(PermutoriaError):
     """The zero partial permutation has no parent."""
 

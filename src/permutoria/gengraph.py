@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InvalidWalk, LimitExceeded
-from .limits import DEFAULT_LIMITS, Limits
+from .errors import InvalidWalk
+from .limits import DEFAULT_LIMITS, Limits, enforce
 from .counting import count_avoiders, extended_table
 from .permcore import (
     ZERO,
@@ -127,8 +127,7 @@ def build_tree(
     root: PartialPermutation = ZERO,
 ) -> TreeNode:
     """The generating tree of extendably avoiding objects, to the given depth."""
-    if depth > limits.tree_depth:
-        raise LimitExceeded(f"depth={depth} exceeds tree depth limit {limits.tree_depth}")
+    enforce(limits, "tree_depth", "depth", depth)
 
     def grow(obj: PartialPermutation, remaining: int) -> TreeNode:
         if remaining == 0:
@@ -245,8 +244,7 @@ def discover_graph(
     naive one walks the whole tree to the given depth and additionally
     asserts that equal fingerprints imply equal outgoing class profiles.
     """
-    if depth > limits.tree_depth:
-        raise LimitExceeded(f"depth={depth} exceeds tree depth limit {limits.tree_depth}")
+    enforce(limits, "tree_depth", "depth", depth)
     cls = Classifier(patterns, rule, fp_depth)
     edge_weights: dict[tuple[int, int, EdgeKind], int] = {}
     complete: dict[int, bool] = {}

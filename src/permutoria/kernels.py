@@ -8,22 +8,19 @@ counters ``count_avoiders_py`` and ``count_da_py``, the enumerators in
 ``counting`` and the extensions of a partial permutation in ``permcore``
 all run on that driver.
 
-The counters dominate the runtime of every brute-force suite, so they exist
-twice: in pure Python here and as a Cython translation in ``_speedups.pyx``.
-The compiled kernel is selected at import time when available; setting
-``PERMUTORIA_PURE=1`` forces the pure fallback.  Without the compiled
-kernel, ``count_avoiders_raw`` is the memoised counter
-``count_avoiders_memo``, which counts the completions of a prefix once per
-canonical state instead of once per leaf.
+The counters dominate the runtime of every brute-force suite.
+``count_avoiders_raw`` is the memoised counter ``count_avoiders_memo``,
+which counts the completions of a prefix once per canonical state instead
+of once per leaf; ``count_da_raw`` is the plain counter ``count_da_py``.
 
-The oracles stay separate code: ``_speedups.pyx`` mirrors the plain
-counters, ``count_avoiders_py`` checks ``count_avoiders_memo``, and
-``permcore.contains_pattern_bruteforce`` checks the matcher.
+The oracles stay separate code: ``count_avoiders_py`` checks
+``count_avoiders_memo``, brute force over all permutations checks
+``count_da_py``, and ``permcore.contains_pattern_bruteforce`` checks the
+matcher.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
@@ -326,23 +323,10 @@ def count_da_py(n: int, patterns: Sequence[Pattern]) -> int:
     return sum(1 for _ in avoiding_words(n, patterns, da_values))
 
 
-_FORCE_PURE = os.environ.get("PERMUTORIA_PURE", "") not in ("", "0")
-
-try:
-    from . import _speedups  # type: ignore[attr-defined]
-except ImportError:
-    _speedups = None
-
-HAVE_SPEEDUPS = _speedups is not None
-USING_SPEEDUPS = HAVE_SPEEDUPS and not _FORCE_PURE
-
-if USING_SPEEDUPS:
-    count_avoiders_raw = _speedups.count_avoiders
-    count_da_raw = _speedups.count_da
-else:
-    count_avoiders_raw = count_avoiders_memo
-    count_da_raw = count_da_py
+# counting goes through these names, so a tracer can wrap them
+count_avoiders_raw = count_avoiders_memo
+count_da_raw = count_da_py
 
 
 def engine_name() -> str:
-    return "compiled" if USING_SPEEDUPS else "pure-python"
+    return "pure-python"

@@ -15,6 +15,8 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 
+from .errors import LimitExceeded
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -23,6 +25,17 @@ class Limits:
     extended: int = 10         # largest d+c+r for extended avoidance
     tree_depth: int = 12       # deepest generating tree level
     series_order: int = 24     # largest truncation order per variable
+
+
+def enforce(limits: Limits, key: str, what: str, value: int) -> None:
+    """Raise LimitExceeded if value is above the cap ``key``; the message
+    names the ``PERMUTORIA_LIMITS`` setting that would allow it."""
+    cap = getattr(limits, key)
+    if value > cap:
+        raise LimitExceeded(
+            f"{what}={value} exceeds {key} limit {cap}; "
+            f"raise it with PERMUTORIA_LIMITS={key}={value}"
+        )
 
 
 def _from_env() -> Limits:

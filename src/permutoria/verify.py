@@ -17,6 +17,7 @@ from . import formulas as fm
 from . import gengraph as gg
 from . import involutions as iv
 from . import tableau as tb
+from .errors import UnknownSuite
 from .limits import DEFAULT_LIMITS, Limits
 from .permcore import (
     PartialPermutation,
@@ -1114,5 +1115,5 @@ def run_suite(name: str, scale: Scale | None = None) -> SuiteReport:
     name = ALIASES.get(name, name)
     if name not in SUITES:
         known = ", ".join(sorted([*SUITES, *ALIASES]))
-        raise KeyError(f"unknown suite {name!r}; known: {known}")
+        raise UnknownSuite(f"unknown suite {name!r}; known: {known}")
     return SUITES[name](scale or Scale())

@@ -40,6 +40,7 @@ class TestCount:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.count("\n") == 1 and "exceeds enumeration limit" in captured.err
+        assert "PERMUTORIA_LIMITS=enumeration=30" in captured.err
 
 
 class TestSeries:
@@ -127,9 +128,12 @@ class TestVerify:
         code, out = run(capsys, "verify", "P1-8.3")
         assert code == 0
 
-    def test_unknown_suite(self):
-        with pytest.raises(KeyError):
-            main(["verify", "no-such-suite"])
+    def test_unknown_suite(self, capsys):
+        code = main(["verify", "no-such-suite"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "unknown suite 'no-such-suite'" in captured.err and "P1-7.1" in captured.err
 
     def test_all_runs_each_suite_once(self, capsys, monkeypatch):
         ran = []
@@ -157,8 +161,10 @@ class TestVerify:
         ["verify", "P1-prop7.2", "--box", "4y4"],
         ["tableau", "--op", "jdt", "--input", "{"],
         ["tableau", "--op", "jdt", "--input", '{"outer":[1]}'],
+        ["count", "--patterns", "123", "--dcr", "1,a"],
+        ["series", "--formula", "1/(1-x)", "--orders", "1,2,3,4"],
     ],
-    ids=["tau", "box", "json", "json-key"],
+    ids=["tau", "box", "json", "json-key", "dcr", "orders"],
 )
 def test_malformed_input_is_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

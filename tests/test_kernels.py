@@ -1,4 +1,10 @@
-"""The compiled kernel and the pure fallback must agree everywhere."""
+"""The counting kernels against their oracles.
+
+The plain counters must equal brute force over all permutations, the
+memoised counter must equal the plain one, and ``counting`` must count
+through the memoised engine on every input, however long or many the
+patterns.
+"""
 
 import gc
 import itertools
@@ -7,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permutoria import kernels
-from permutoria.permcore import contains_pattern_bruteforce, is_doubly_alternating
+from permutoria import counting, kernels
+from permutoria.permcore import PatternSet, contains_pattern_bruteforce, is_doubly_alternating
 
 
 def brute_avoids(w, patterns):
@@ -87,25 +93,21 @@ def test_pure_da_matches_bruteforce(patterns):
         assert kernels.count_da_py(n, patterns) == brute_da(n, patterns)
 
 
-@pytest.mark.skipif(not kernels.HAVE_SPEEDUPS, reason="compiled kernel not built")
-class TestCompiledParity:
-    @pytest.mark.parametrize("patterns", CASES)
-    def test_avoiders(self, patterns):
-        for n in range(10):
-            assert kernels._speedups.count_avoiders(n, patterns) == kernels.count_avoiders_py(
-                n, patterns
-            )
+# a pattern longer than 8 and a set of 13 patterns: inputs beyond the
+# former compiled kernel's limits
+LONG_PATTERN = ((2, 1, 3, 4, 5, 6, 7, 8, 9),)
+MANY_PATTERNS = tuple(itertools.islice(itertools.permutations((1, 2, 3, 4)), 13))
 
-    @pytest.mark.parametrize("patterns", CASES + [()])
-    def test_da(self, patterns):
-        for n in range(11):
-            assert kernels._speedups.count_da(n, patterns) == kernels.count_da_py(n, patterns)
 
-    def test_larger_sizes(self):
-        assert kernels._speedups.count_avoiders(10, ((1, 2, 3),)) == 16796
-        assert kernels._speedups.count_avoiders(10, ((1, 2, 3, 4),)) == 586590
-        assert kernels._speedups.count_da(12, ((2, 4, 1, 3),)) == 132
+@pytest.mark.parametrize("patterns", [LONG_PATTERN, MANY_PATTERNS], ids=["long", "many"])
+def test_counting_accepts_any_pattern_set(patterns):
+    for n in range(9):
+        assert counting.count_avoiders(n, PatternSet(patterns)) == kernels.count_avoiders_py(
+            n, patterns
+        )
 
 
 def test_engine_name():
-    assert kernels.engine_name() in ("compiled", "pure-python")
+    assert kernels.engine_name() == "pure-python"
+    assert kernels.count_avoiders_raw is kernels.count_avoiders_memo
+    assert kernels.count_da_raw is kernels.count_da_py
