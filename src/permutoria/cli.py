@@ -20,7 +20,7 @@ from .errors import PermutoriaError
 from .kernels import engine_name
 from .limits import DEFAULT_LIMITS
 from .permcore import PatternSet
-from .series import expand_rational, series_from_cells
+from .series import RationalExpr, expand_rational, series_from_cells
 from .verify import CONJECTURE_SUITES, SUITES, Scale, run_suite
 
 
@@ -44,6 +44,26 @@ def _parse_orders(text: str) -> tuple[int, int, int]:
             f"expected one to three integer orders x,y,z, got {text!r}"
         )
     return tuple(parts + [0] * (3 - len(parts)))  # type: ignore[return-value]
+
+
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _parse_formula(text: str) -> RationalExpr:
+    try:
+        return RationalExpr.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a formula ({exc})") from None
 
 
 def _parse_tail(text: str) -> tuple[int, ...]:
@@ -239,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("series", help="expand a formula or a brute-force table")
-    p.add_argument("--formula", help="expression in x, y, z and c(x)")
+    p.add_argument("--formula", type=_parse_formula, help="expression in x, y, z and c(x)")
     p.add_argument("--brute", action="store_true")
     p.add_argument("--patterns", type=PatternSet.parse)
     p.add_argument("--orders", type=_parse_orders, default=(6, 4, 4))
@@ -254,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("standard", "standard-extended", "alt-extended"),
         default="standard-extended",
     )
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--fingerprint-depth", type=int, default=4)
+    p.add_argument("--depth", type=_at_least(0), default=6)
+    p.add_argument("--fingerprint-depth", type=_at_least(1), default=4)
     p.add_argument("--validate", type=int, help="horizon for brute-force validation")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_discover)

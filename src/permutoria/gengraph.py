@@ -244,6 +244,8 @@ def discover_graph(
     naive one walks the whole tree to the given depth and additionally
     asserts that equal fingerprints imply equal outgoing class profiles.
     """
+    if depth < 0 or fp_depth < 1:
+        raise ValueError(f"need depth >= 0 and fp_depth >= 1, got {depth} and {fp_depth}")
     enforce(limits, "tree_depth", "depth", depth)
     cls = Classifier(patterns, rule, fp_depth)
     edge_weights: dict[tuple[int, int, EdgeKind], int] = {}

@@ -313,6 +313,18 @@ class PartialPermutation:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
+    def _trusted(cls, rows: int, cols: int, dots: tuple[tuple[int, int], ...]) -> "PartialPermutation":
+        """Build without validation, for objects derived from a valid one.
+
+        ``dots`` must already be sorted, as ``__post_init__`` would leave it.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rows", rows)
+        object.__setattr__(obj, "cols", cols)
+        object.__setattr__(obj, "dots", dots)
+        return obj
+
+    @classmethod
     def from_word(cls, word: Sequence, cols: int | None = None) -> "PartialPermutation":
         dots = tuple((i + 1, v) for i, v in enumerate(word) if v is not None)
         if cols is None:
@@ -396,7 +408,11 @@ def extensions(pp: PartialPermutation, patterns: PatternSet) -> Iterator[Word]:
 
 @lru_cache(maxsize=1 << 18)
 def extendably_avoids(pp: PartialPermutation, patterns: PatternSet) -> bool:
-    """True iff pp is the NW corner of some avoider of size d+c+r."""
+    """True iff pp is the NW corner of some avoider of size d+c+r.
+
+    One search per object; the tests check ``children_with_kinds``, which
+    decides children without it, against this.
+    """
     if pp.is_zero():
         return True
     return next(extensions(pp, patterns), None) is not None
@@ -439,13 +455,38 @@ def _remove_row(pp: PartialPermutation, row: int) -> PartialPermutation:
 
 
 def _insert_dot(pp: PartialPermutation, site: int) -> PartialPermutation:
-    dots = tuple((r + (r >= site), c) for r, c in pp.dots) + ((site, pp.cols + 1),)
-    return PartialPermutation(pp.rows + 1, pp.cols + 1, dots)
+    dots = (
+        tuple((r, c) for r, c in pp.dots if r < site)
+        + ((site, pp.cols + 1),)
+        + tuple((r + 1, c) for r, c in pp.dots if r >= site)
+    )
+    return PartialPermutation._trusted(pp.rows + 1, pp.cols + 1, dots)
 
 
 def _insert_row(pp: PartialPermutation, site: int) -> PartialPermutation:
     dots = tuple((r + (r >= site), c) for r, c in pp.dots)
-    return PartialPermutation(pp.rows + 1, pp.cols, dots)
+    return PartialPermutation._trusted(pp.rows + 1, pp.cols, dots)
+
+
+def _admits(
+    words: list[Word], inserts: Sequence[tuple[int, int]], patterns: tuple[Word, ...]
+) -> bool:
+    """Does inserting value b at index i into some extension keep it an avoider?
+
+    Entries >= b are raised by one first.  Each word avoids the patterns,
+    so a new occurrence must end at or after index i.
+    """
+    for word in words:
+        for i, b in inserts:
+            new = [v + (v >= b) for v in word]
+            new.insert(i, b)
+            if not any(
+                _ends_at_last(new, k, p)
+                for k in range(i + 1, len(new) + 1)
+                for p in patterns
+            ):
+                return True
+    return False
 
 
 EdgeKind = Literal["dot", "column", "row"]
@@ -459,6 +500,13 @@ def children_with_kinds(
 
     Order: dot insertions by site top to bottom, then the column addition,
     then row insertions by site top to bottom.
+
+    Under the extended rules a child is decided on the extensions of pp,
+    not by a search of its own: deleting the child's new entry from an
+    extension of the child and standardizing gives an extension of pp, so
+    the child is extendable iff its new entry can be inserted into some
+    extension of pp without creating an occurrence.  ``extendably_avoids``
+    is the oracle of this shortcut.
     """
     out: list[tuple[EdgeKind, PartialPermutation]] = []
     empties = pp.empty_rows()
@@ -470,14 +518,21 @@ def children_with_kinds(
             if avoids_all(child.word(), patterns):
                 out.append(("dot", child))
         return tuple(out)
+    exts = list(extensions(pp, patterns))
+    pats = patterns.patterns
+    n, top = pp.size, pp.cols + 1
+    dot_ok: dict[int, bool] = {}
     if not empties:
         for site in range(1, pp.rows + 2):
-            child = _insert_dot(pp, site)
-            if extendably_avoids(child, patterns):
-                out.append(("dot", child))
-        child = PartialPermutation(pp.rows, pp.cols + 1, pp.dots)
-        if extendably_avoids(child, patterns):
-            out.append(("column", child))
+            dot_ok[site] = _admits(exts, ((site - 1, top),), pats)
+            if dot_ok[site]:
+                out.append(("dot", _insert_dot(pp, site)))
+        # the bottom dot child is the column child with its new column
+        # entry in the first row below pp
+        if dot_ok[pp.rows + 1] or _admits(
+            exts, [(i, top) for i in range(pp.rows + 1, n + 1)], pats
+        ):
+            out.append(("column", PartialPermutation._trusted(pp.rows, pp.cols + 1, pp.dots)))
     if rule == "standard-extended":
         low = max(empties) + 1 if empties else 1
         sites = range(low, pp.rows + 2)
@@ -485,9 +540,13 @@ def children_with_kinds(
         high = min(empties) if empties else pp.rows + 1
         sites = range(1, high + 1)
     for site in sites:
-        child = _insert_row(pp, site)
-        if extendably_avoids(child, patterns):
-            out.append(("row", child))
+        # without empty rows the child has size cols + 1, so its new row
+        # can only take the value cols + 1: the dot child's insertion
+        ok = dot_ok.get(site)
+        if ok is None:
+            ok = _admits(exts, [(site - 1, b) for b in range(top, n + 2)], pats)
+        if ok:
+            out.append(("row", _insert_row(pp, site)))
     return tuple(out)
 
 

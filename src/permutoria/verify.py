@@ -528,10 +528,12 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
             if d + c + r <= total
         )
         rep.check(ok, f"transpose symmetry for {pat}")
-    # active sites are r-active; bottom-site activity implies c-activity
+    # active sites are r-active, and without empty rows r-active sites are
+    # active (children_with_kinds relies on it); bottom-site activity implies
+    # c-activity
     from .permcore import _insert_dot, _insert_row
 
-    ok_r = ok_c = True
+    ok_r = ok_row_law = ok_c = True
     ps = PatternSet.parse("123")
     seen = 0
     for d in range(3):
@@ -539,15 +541,19 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
             for r in range(2):
                 for pp in ct.enumerate_extended(d, c, r, ps, lim):
                     for site in range(1, pp.rows + 2):
-                        if extendably_avoids(_insert_dot(pp, site), ps):
-                            if not extendably_avoids(_insert_row(pp, site), ps):
-                                ok_r = False
+                        active = extendably_avoids(_insert_dot(pp, site), ps)
+                        r_active = extendably_avoids(_insert_row(pp, site), ps)
+                        if active and not r_active:
+                            ok_r = False
+                        if r == 0 and r_active and not active:
+                            ok_row_law = False
                     if extendably_avoids(_insert_dot(pp, pp.rows + 1), ps):
                         taller = PartialPermutation(pp.rows, pp.cols + 1, pp.dots)
                         if not extendably_avoids(taller, ps):
                             ok_c = False
                     seen += 1
     rep.check(ok_r, f"active sites are r-active ({seen} objects)")
+    rep.check(ok_row_law, "without empty rows, r-active sites are active")
     rep.check(ok_c, "bottom-site activity implies c-activity")
     # the dotted ladder: row-classes only reach row-classes
     g, _ = gg.discover_graph(PatternSet.parse("123"), "standard-extended", 5, 4, lim)

@@ -163,8 +163,17 @@ class TestVerify:
         ["tableau", "--op", "jdt", "--input", '{"outer":[1]}'],
         ["count", "--patterns", "123", "--dcr", "1,a"],
         ["series", "--formula", "1/(1-x)", "--orders", "1,2,3,4"],
+        ["discover", "--patterns", "123", "--depth", "2", "--fingerprint-depth", "-1"],
+        ["discover", "--patterns", "123", "--depth", "2", "--fingerprint-depth", "0"],
+        ["discover", "--patterns", "123", "--depth", "-1"],
+        ["series", "--formula", "x+"],
+        ["series", "--formula", "1/(1-x"],
     ],
-    ids=["tau", "box", "json", "json-key", "dcr", "orders"],
+    ids=[
+        "tau", "box", "json", "json-key", "dcr", "orders",
+        "fp-depth-negative", "fp-depth-zero", "depth-negative",
+        "formula-dangling", "formula-unbalanced",
+    ],
 )
 def test_malformed_input_is_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:

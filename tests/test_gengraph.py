@@ -59,6 +59,11 @@ class TestDiscovery:
         )
         assert ok, disc
 
+    @pytest.mark.parametrize("depth,fp_depth", [(2, -1), (2, 0), (-1, 4)])
+    def test_rejects_degenerate_depths(self, depth, fp_depth):
+        with pytest.raises(ValueError):
+            gg.discover_graph(PatternSet.parse("123"), "standard-extended", depth, fp_depth, L)
+
     def test_stability(self):
         assert gg.discovery_is_stable(PatternSet.parse("213,4123"), "standard", 6, 4, 2, L)
 

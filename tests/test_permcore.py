@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutoria import formulas as fm
 from permutoria import permcore as pc
 from permutoria.errors import ZeroObject
 
@@ -167,6 +168,16 @@ class TestPartialPermutation:
             pc.PartialPermutation(2, 2, ((1, 1), (1, 2)))
 
 
+def partial_permutations(max_size):
+    """Every partial permutation with d + c + r <= max_size."""
+    for rows in range(max_size + 1):
+        for cols in range(max_size + 1):
+            for d in range(max(0, rows + cols - max_size), min(rows, cols) + 1):
+                for dot_rows in itertools.combinations(range(1, rows + 1), d):
+                    for dot_cols in itertools.permutations(range(1, cols + 1), d):
+                        yield pc.PartialPermutation(rows, cols, tuple(zip(dot_rows, dot_cols)))
+
+
 class TestExtendability:
     def test_worked_example(self):
         pp = pc.PartialPermutation.from_text("3,_,_,2,6,5|6")
@@ -190,15 +201,6 @@ class TestExtendability:
         assert witness[:1] == (3,) and witness[3:6] == (2, 6, 5)
 
     @staticmethod
-    def partial_permutations(max_size):
-        for rows in range(max_size + 1):
-            for cols in range(max_size + 1):
-                for d in range(max(0, rows + cols - max_size), min(rows, cols) + 1):
-                    for dot_rows in itertools.combinations(range(1, rows + 1), d):
-                        for dot_cols in itertools.permutations(range(1, cols + 1), d):
-                            yield pc.PartialPermutation(rows, cols, tuple(zip(dot_rows, dot_cols)))
-
-    @staticmethod
     def has_nw_corner(w, pp):
         by_row = dict(pp.dots)
         return all(
@@ -207,7 +209,7 @@ class TestExtendability:
         ) and all(w.index(c) >= pp.rows for c in pp.empty_cols())
 
     def test_extensions_match_bruteforce(self):
-        objects = list(self.partial_permutations(4))
+        objects = list(partial_permutations(4))
         assert len(objects) == len(set(objects)) == 184
         for text in ("123", "2413", "213,4123"):
             ps = pc.PatternSet.parse(text)
@@ -266,6 +268,78 @@ class TestParentChildren:
         pp = pc.PartialPermutation.from_permutation((1, 2))
         kinds = [k for k, _ in pc.children_with_kinds(pp, "standard-extended", ps)]
         assert kinds == sorted(kinds, key=["dot", "column", "row"].index)
+
+
+def _children_by_search(pp, rule, patterns):
+    """The children under an extended rule, one extendability search each."""
+    out = []
+    empties = pp.empty_rows()
+    if not empties:
+        for site in range(1, pp.rows + 2):
+            child = pc._insert_dot(pp, site)
+            if pc.extendably_avoids(child, patterns):
+                out.append(("dot", child))
+        child = pc.PartialPermutation(pp.rows, pp.cols + 1, pp.dots)
+        if pc.extendably_avoids(child, patterns):
+            out.append(("column", child))
+    if rule == "standard-extended":
+        low = max(empties) + 1 if empties else 1
+        sites = range(low, pp.rows + 2)
+    else:
+        high = min(empties) if empties else pp.rows + 1
+        sites = range(1, high + 1)
+    for site in sites:
+        child = pc._insert_row(pp, site)
+        if pc.extendably_avoids(child, patterns):
+            out.append(("row", child))
+    return tuple(out)
+
+
+ORACLE_SETS = sorted(
+    {*fm.FORMULAS}
+    | {ps for a, _, b, _ in fm.GRAPH_EQUIVALENT for ps in (a, b)}
+    | {pc.PatternSet.parse(text) for text in ("1", "12", "1324", "2413,3142")},
+    key=str,
+)
+EXTENDED_RULES = ("standard-extended", "alt-extended")
+
+
+def assert_children_match_search(pp, rule, patterns):
+    got = pc.children_with_kinds(pp, rule, patterns)
+    assert got == _children_by_search(pp, rule, patterns), (pp, rule, str(patterns))
+    for _, child in got:
+        # the trusted constructor builds exactly what validation accepts
+        checked = pc.PartialPermutation(child.rows, child.cols, child.dots)
+        assert checked == child and checked.dots == child.dots and hash(checked) == hash(child)
+
+
+class TestChildrenFromExtensions:
+    """children_with_kinds decides children on the parent's extensions;
+    the search per child is its oracle."""
+
+    def test_matches_search_up_to_five(self):
+        objects = list(partial_permutations(5))
+        compared = 0
+        for ps in ORACLE_SETS:
+            for pp in objects:
+                if not pc.extendably_avoids(pp, ps):
+                    continue
+                for rule in EXTENDED_RULES:
+                    assert_children_match_search(pp, rule, ps)
+                    compared += 1
+        assert len(ORACLE_SETS) >= 59 and compared > 30000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(ORACLE_SETS), st.sampled_from(EXTENDED_RULES))
+    def test_matches_search_at_six_and_seven(self, data, ps, rule):
+        size = data.draw(st.integers(6, 7))
+        d = data.draw(st.integers(0, size))
+        c = data.draw(st.integers(0, size - d))
+        rows, cols = size - c, d + c
+        dot_rows = sorted(data.draw(st.permutations(range(1, rows + 1)))[:d])
+        dot_cols = data.draw(st.permutations(range(1, cols + 1)))[:d]
+        pp = pc.PartialPermutation(rows, cols, tuple(zip(dot_rows, dot_cols)))
+        assert_children_match_search(pp, rule, ps)
 
 
 def test_docstring_examples():
