@@ -175,19 +175,8 @@ def bender_knuth(t: SkewTableau, i: int) -> SkewTableau:
 
 
 def _with_rows(t: SkewTableau, rows: tuple) -> SkewTableau:
-    """Same tableau data with new rows, skipping re-validation.
-
-    Only for maps whose output is valid by construction (the local moves);
-    their validity is separately cross-checked against the sliding routes.
-    """
-    out = object.__new__(SkewTableau)
-    object.__setattr__(out, "outer", t.outer)
-    object.__setattr__(out, "inner", t.inner)
-    object.__setattr__(out, "rows", rows)
-    object.__setattr__(out, "box1", t.box1)
-    object.__setattr__(out, "box2", t.box2)
-    object.__setattr__(out, "orientation", t.orientation)
-    return out
+    """Same tableau data with new rows, skipping re-validation."""
+    return SkewTableau._trusted(t.outer, t.inner, rows, t.box1, t.box2, t.orientation)
 
 
 BKWord = tuple[int, ...]
@@ -364,10 +353,10 @@ def tableau_switch(s: SkewTableau, t: SkewTableau) -> tuple[SkewTableau, SkewTab
     cuts = _stacked_cuts((s, t), len(t.outer))
     _bk_cuts(cuts, t_word(k, l))
     cut = normalize(tuple(cuts[l]))
-    inner_t = SkewTableau(
+    inner_t = SkewTableau._trusted(
         cut, s.inner, _rows_from_cuts(cuts, 1, l)[: len(cut)], box1, t.box2, t.orientation
     )
-    outer_t = SkewTableau(
+    outer_t = SkewTableau._trusted(
         t.outer, cut, _rows_from_cuts(cuts, l + 1, k + l), box1, s.box2, s.orientation
     )
     return inner_t, outer_t

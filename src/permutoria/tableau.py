@@ -146,6 +146,28 @@ class SkewTableau:
                 if above >= below:
                     raise NotATableau(f"column {col} not strictly increasing")
 
+    @classmethod
+    def _trusted(
+        cls,
+        outer: Partition,
+        inner: Partition,
+        rows: tuple[tuple[int, ...], ...],
+        box1: tuple[int, int],
+        box2: tuple[int, int],
+        orientation: str | None,
+    ) -> "SkewTableau":
+        """Build without validation, for the word-route maps whose output is
+        valid by construction; the tests check those outputs against the
+        sliding routes and the validating constructor."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "outer", outer)
+        object.__setattr__(obj, "inner", inner)
+        object.__setattr__(obj, "rows", rows)
+        object.__setattr__(obj, "box1", box1)
+        object.__setattr__(obj, "box2", box2)
+        object.__setattr__(obj, "orientation", orientation)
+        return obj
+
     # -- basics ---------------------------------------------------------------
     @property
     def letters(self) -> int:

@@ -217,6 +217,9 @@ class TestSwitching:
                             a = iv.tableau_switch(s, t)
                             b = iv.tableau_switch_sliding(s, t)
                             assert (ck(a[0]), ck(a[1])) == (ck(b[0]), ck(b[1]))
+                            # the sliding route validates what it builds, so
+                            # this re-checks the unvalidated word-route output
+                            assert a == b
                             back = iv.tableau_switch(*a)
                             assert ck(back[0]) == ck(s) and ck(back[1]) == ck(t)
                             if not s.inner and s.size():
