@@ -4,12 +4,13 @@ Usage (from anywhere inside the repository):
 
     python3 benchmarks/bench.py --base HEAD~1 --pr 7
     python3 benchmarks/bench.py --base 058a238 --head HEAD --pr 7 \
-        --workloads ext-graph --seeds 1,2,3 --seconds 35
+        --workloads ext-graph --seeds 1,2,3
 
 Each revision is exported with ``git archive`` into a temporary directory,
 which is removed afterwards, so the benchmark runs the committed files and
 the working tree and ``.git`` are left as they are.  For every workload and
-seed, ``perfbench/run.py --trace 0`` runs once on each side; the side that
+seed, ``perfbench/run.py --trace 0`` runs once on each side, for the
+``run_seconds`` of the head's ``BENCHMARK.json``; the side that
 goes first alternates from pair to pair, so slow drift of the host hits
 both sides alike.  ``BENCH_<pr>.json`` at the repository root receives both
 shas, every run's end-to-end metrics and, per metric, the median and
@@ -95,7 +96,6 @@ def main() -> int:
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--workloads", default="ext-graph,perm-count,tableau-laws")
     ap.add_argument("--seeds", default="1,2,3,4,5")
-    ap.add_argument("--seconds", type=float, default=35.0)
     args = ap.parse_args()
 
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
@@ -107,7 +107,6 @@ def main() -> int:
     report = {
         "base": {"rev": args.base, "sha": shas["base"]},
         "head": {"rev": args.head, "sha": shas["head"]},
-        "seconds": args.seconds,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
@@ -118,6 +117,7 @@ def main() -> int:
         for side, sha in shas.items():
             export(repo, sha, dirs[side])
         spec = json.loads((dirs["head"] / "BENCHMARK.json").read_text())
+        report["seconds"] = spec["run_seconds"]
         for workload in workloads:
             runs: list[dict] = []
             entry = report["workloads"][workload] = {"runs": runs}
@@ -125,7 +125,7 @@ def main() -> int:
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 run = {"seed": seed, "order": list(order)}
                 for side in order:
-                    run[side] = run_side(dirs[side], workload, seed, args.seconds)
+                    run[side] = run_side(dirs[side], workload, seed, spec["run_seconds"])
                     print(f"{workload} seed {seed} {side}: {run[side]['ops_per_s']:.2f} op/s",
                           file=sys.stderr, flush=True)
                 runs.append(run)

@@ -271,12 +271,19 @@ class TestParentChildren:
 
 
 def _children_by_search(pp, rule, patterns):
-    """The children under an extended rule, one extendability search each."""
+    """The children under an extended rule, one extendability search each,
+    built through the validating constructor."""
+
+    def shifted(site):
+        return tuple((r + (r >= site), c) for r, c in pp.dots)
+
     out = []
     empties = pp.empty_rows()
     if not empties:
         for site in range(1, pp.rows + 2):
-            child = pc._insert_dot(pp, site)
+            child = pc.PartialPermutation(
+                pp.rows + 1, pp.cols + 1, shifted(site) + ((site, pp.cols + 1),)
+            )
             if pc.extendably_avoids(child, patterns):
                 out.append(("dot", child))
         child = pc.PartialPermutation(pp.rows, pp.cols + 1, pp.dots)
@@ -289,7 +296,7 @@ def _children_by_search(pp, rule, patterns):
         high = min(empties) if empties else pp.rows + 1
         sites = range(1, high + 1)
     for site in sites:
-        child = pc._insert_row(pp, site)
+        child = pc.PartialPermutation(pp.rows + 1, pp.cols, shifted(site))
         if pc.extendably_avoids(child, patterns):
             out.append(("row", child))
     return tuple(out)
@@ -310,7 +317,7 @@ def assert_children_match_search(pp, rule, patterns):
     for _, child in got:
         # the trusted constructor builds exactly what validation accepts
         checked = pc.PartialPermutation(child.rows, child.cols, child.dots)
-        assert checked == child and checked.dots == child.dots and hash(checked) == hash(child)
+        assert checked == child and hash(checked) == hash(child)
 
 
 class TestChildrenFromExtensions:
