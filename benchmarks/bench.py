@@ -2,8 +2,8 @@
 
 Usage (from anywhere inside the repository):
 
-    python3 benchmarks/bench.py --base HEAD~1 --pr 7
-    python3 benchmarks/bench.py --base 058a238 --head HEAD --pr 7 \
+    python3 benchmarks/bench.py --base HEAD~1 --pr N
+    python3 benchmarks/bench.py --base HEAD~3 --head HEAD~1 --pr N \
         --workloads ext-graph --seeds 1,2,3
 
 Each revision is exported with ``git archive`` into a temporary directory,
