@@ -4,7 +4,10 @@ Usage (from anywhere inside the repository):
 
     python3 benchmarks/bench.py --base HEAD~1 --pr N
     python3 benchmarks/bench.py --base HEAD~3 --head HEAD~1 --pr N \
-        --workloads ext-graph --seeds 1,2,3
+        --workloads ext-graph --seeds 11,12,13,14,15,16,17,18,19,20
+
+By default ten seeds run, so each workload gets ten pairs, the fewest from
+which a gain can be read: the head must be better in nine pairs of ten.
 
 Each revision is exported with ``git archive`` into a temporary directory,
 which is removed afterwards, so the benchmark runs the committed files and
@@ -95,7 +98,7 @@ def main() -> int:
     ap.add_argument("--head", default="HEAD", help="revision with the change")
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
     ap.add_argument("--workloads", default="ext-graph,perm-count,tableau-laws")
-    ap.add_argument("--seeds", default="1,2,3,4,5")
+    ap.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
     args = ap.parse_args()
 
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())

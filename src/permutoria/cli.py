@@ -74,8 +74,10 @@ def _parse_tail(text: str) -> tuple[int, ...]:
 
 def _parse_box(text: str) -> tuple[int, int]:
     rows, sep, cols = text.partition("x")
-    if not (sep and rows.isdecimal() and cols.isdecimal()):
-        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, e.g. 4x4, got {text!r}")
+    if not (sep and rows.isdecimal() and cols.isdecimal() and min(int(rows), int(cols)) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"expected ROWSxCOLS with both sides >= 1, e.g. 4x4, got {text!r}"
+        )
     return int(rows), int(cols)
 
 
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--patterns", type=PatternSet.parse, help="comma-separated patterns, e.g. 2413,3142"
     )
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=_at_least(0), default=0)
     p.add_argument("--upto", action="store_true", help="emit all sizes 0..n")
     p.add_argument("--da", action="store_true", help="doubly alternating avoiders")
     p.add_argument("--dcr", type=_parse_dcr, help="extended cell d,c,r")
@@ -276,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth", type=_at_least(0), default=6)
     p.add_argument("--fingerprint-depth", type=_at_least(1), default=4)
-    p.add_argument("--validate", type=int, help="horizon for brute-force validation")
+    p.add_argument("--validate", type=_at_least(0), help="horizon for brute-force validation")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("biject", help="tabulate one of the explicit bijections")
     p.add_argument("--name", choices=("phi", "theta", "psi"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--tau", type=_parse_tail, default="34", help="pattern tail for psi, e.g. 34")
     p.set_defaults(func=cmd_biject)
 
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--box", type=_parse_box, default="4x4", help="bounding box for tableau suites, e.g. 4x4"
     )
-    p.add_argument("--letters", type=int, default=4)
+    p.add_argument("--letters", type=_at_least(1), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)

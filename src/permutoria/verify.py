@@ -8,7 +8,7 @@ the CLI never fails the process on them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from . import bijections as bj
@@ -18,7 +18,7 @@ from . import gengraph as gg
 from . import involutions as iv
 from . import tableau as tb
 from .errors import UnknownSuite
-from .limits import DEFAULT_LIMITS, Limits
+from .limits import Limits
 from .permcore import (
     PartialPermutation,
     PatternSet,
@@ -68,22 +68,19 @@ class SuiteReport:
         }
 
 
+# every suite runs under these caps whatever ``PERMUTORIA_LIMITS`` says, so
+# a suite's sizes, its universe label and its checks are the same in every run
+LIMITS = Limits(enumeration=12, da=14, extended=10, tree_depth=14)
+
+
 @dataclass(frozen=True)
 class Scale:
-    """Size knobs shared by the suites; defaults match the acceptance runs."""
+    """What ``permutoria verify`` lets a caller choose: the box and alphabet
+    of the ``P3-figure21`` universe and the sampling seed of ``P3-sec3`` and
+    ``P3-sec4``.  Every other suite states its own sizes."""
 
-    limits: Limits = DEFAULT_LIMITS
-    wilf_n: int = 10
-    length4_n: int = 10
-    da_n: int = 12
-    ext_total: int = 8
-    ext_d: int = 8
-    ext_cr: int = 6
     box: tuple[int, int] = (4, 4)
     letters: int = 4
-    lr_size: int = 8
-    schur_size: int = 4
-    conjecture_n: int = 12
     seed: int = 0
 
 
@@ -136,58 +133,54 @@ def dominant_universe(R: int, C: int, N: int, W: int):
 
 
 def suite_intro_wilf(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("intro-wilf-classes", f"n<={scale.wilf_n}")
-    base, n1, n4 = scale.limits, scale.wilf_n, scale.length4_n
-    lim = replace(base, enumeration=max(base.enumeration, n1), da=max(base.da, n1))
+    rep = SuiteReport("intro-wilf-classes", "n<=10")
     for pat in ("123", "132", "213", "231", "312", "321"):
         ps = PatternSet.parse(pat)
-        ok = all(
-            ct.count_avoiders(n, ps, lim) == ct.catalan(n) for n in range(scale.wilf_n + 1)
-        )
-        rep.check(ok, f"|S_n({pat})| = catalan(n), n<={scale.wilf_n}")
+        ok = all(ct.count_avoiders(n, ps, LIMITS) == ct.catalan(n) for n in range(11))
+        rep.check(ok, f"|S_n({pat})| = catalan(n), n<=10")
     seqs = {
         "1234": [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359, 586590],
         "1324": [1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950],
         "1342": [1, 1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662],
     }
-    lim4 = replace(base, enumeration=max(base.enumeration, n4), da=max(base.da, n4))
     for pat, expected in seqs.items():
         ps = PatternSet.parse(pat)
-        got = [ct.count_avoiders(n, ps, lim4) for n in range(scale.length4_n + 1)]
-        rep.check(got == expected[: scale.length4_n + 1], f"|S_n({pat})| table")
-    n_cross = min(9, scale.length4_n)
+        got = [ct.count_avoiders(n, ps, LIMITS) for n in range(11)]
+        rep.check(got == expected, f"|S_n({pat})| table")
     ok = all(
-        ct.count_avoiders(n, PatternSet.parse("1342"), lim4)
-        == ct.count_avoiders(n, PatternSet.parse("2413"), lim4)
-        for n in range(n_cross + 1)
+        ct.count_avoiders(n, PatternSet.parse("1342"), LIMITS)
+        == ct.count_avoiders(n, PatternSet.parse("2413"), LIMITS)
+        for n in range(10)
     )
-    rep.check(ok, f"1342 and 2413 agree, n<={n_cross}")
+    rep.check(ok, "1342 and 2413 agree, n<=9")
     # symmetry classes of pattern sets share counts
     for pat in ("132", "1342", "213,4123"):
         ps = PatternSet.parse(pat)
         for op in ("reverse", "complement", "inverse"):
             other = PatternSet([symmetry(p, op) for p in ps])
             ok = all(
-                ct.count_avoiders(n, ps, lim) == ct.count_avoiders(n, other, lim)
-                for n in range(min(8, scale.wilf_n) + 1)
+                ct.count_avoiders(n, ps, LIMITS) == ct.count_avoiders(n, other, LIMITS)
+                for n in range(9)
             )
             rep.check(ok, f"{pat} vs {op} counts agree")
     return rep
 
 
 def suite_intro_thm27(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("intro-thm2.7", f"d+c+r<={scale.ext_total}")
+    rep = SuiteReport("intro-thm2.7", "d+c+r<=8")
     from math import comb
 
     def binom(a: int, b: int) -> int:
         return comb(a, b) if 0 <= b <= a else 0
 
-    lim = scale.limits
+    tables = {
+        pat: ct.extended_table(PatternSet.parse(pat), 8, LIMITS)
+        for pat in ("132", "231", "312", "321", "123", "213")
+    }
     for pat in ("132", "231", "312", "321"):
-        table = ct.extended_table(PatternSet.parse(pat), scale.ext_total, lim)
         ok = True
         witness = None
-        for (d, c, r), count in table.items():
+        for (d, c, r), count in tables[pat].items():
             n = d + c + r
             expect = binom(n + d, d) - binom(n + d, d - 1)
             if count != expect:
@@ -195,10 +188,9 @@ def suite_intro_thm27(scale: Scale) -> SuiteReport:
                 break
         rep.check(ok, f"binomial formula for {pat}" + (f" ({witness})" if witness else ""))
     for pat in ("123", "213"):
-        table = ct.extended_table(PatternSet.parse(pat), scale.ext_total, lim)
         ok = True
         witness = None
-        for (d, c, r), count in table.items():
+        for (d, c, r), count in tables[pat].items():
             n = d + c + r
             expect = sum(binom(n - c, i) * binom(n - r, i) for i in range(d + 1)) - binom(
                 n + d, d - 1
@@ -207,12 +199,18 @@ def suite_intro_thm27(scale: Scale) -> SuiteReport:
                 ok, witness = False, ((d, c, r), count, expect)
                 break
         rep.check(ok, f"sum formula for {pat}" + (f" ({witness})" if witness else ""))
+    # the six classes are closed under inverse, so each table's inverse
+    # table is one of the six
+    for pat, table in tables.items():
+        inv = tables[str(PatternSet.parse(pat).inverse())]
+        ok = all(inv.get((d, r, c), 0) == count for (d, c, r), count in table.items())
+        rep.check(ok, f"inverse-transpose law for {pat}")
     return rep
 
 
 def suite_intro_schur(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("intro-schur-product", f"|mu|,|nu|<={scale.schur_size}, 4 variables")
-    sizes = range(1, scale.schur_size + 1)
+    rep = SuiteReport("intro-schur-product", "|mu|,|nu|<=4, 4 variables")
+    sizes = range(1, 5)
     for a in sizes:
         for b in sizes:
             for mu in tb.partitions_of(a):
@@ -227,11 +225,9 @@ def suite_intro_schur(scale: Scale) -> SuiteReport:
 
 
 def suite_p1_basics(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-da-basics", f"n<={min(10, scale.da_n)}")
-    lim = scale.limits
-    nmax = min(10, scale.da_n)
-    for n in range(1, nmax + 1):
-        das = list(ct.enumerate_da(n, None, lim))
+    rep = SuiteReport("P1-da-basics", "n<=10")
+    for n in range(1, 11):
+        das = list(ct.enumerate_da(n, None, LIMITS))
         ok_inv = all(is_doubly_alternating(inverse(w)) for w in das)
         rep.check(ok_inv, f"inverses stay doubly alternating, n={n}")
         if n % 2 == 0:
@@ -248,49 +244,47 @@ def suite_p1_basics(scale: Scale) -> SuiteReport:
 
 
 def suite_p1_prop31(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-prop3.1", f"n<={scale.da_n}")
-    lim = scale.limits
-    for n in range(1, scale.da_n + 1):
+    rep = SuiteReport("P1-prop3.1", "n<=12")
+    for n in range(1, 13):
         for pat in ("123", "213", "231", "312"):
             rep.check(
-                ct.count_da(n, PatternSet.parse(pat), lim) == 1, f"|DA_{n}({pat})| = 1"
+                ct.count_da(n, PatternSet.parse(pat), LIMITS) == 1, f"|DA_{n}({pat})| = 1"
             )
         expect132 = 1 if (n % 2 == 0 or n == 1) else 0
         rep.check(
-            ct.count_da(n, PatternSet.parse("132"), lim) == expect132,
+            ct.count_da(n, PatternSet.parse("132"), LIMITS) == expect132,
             f"|DA_{n}(132)| = {expect132}",
         )
         expect321 = 1 + (1 if (n % 2 == 0 and n >= 4) else 0)
         rep.check(
-            ct.count_da(n, PatternSet.parse("321"), lim) == expect321,
+            ct.count_da(n, PatternSet.parse("321"), LIMITS) == expect321,
             f"|DA_{n}(321)| = {expect321}",
         )
     return rep
 
 
 def suite_p1_sec4(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-sec4-2413", f"2n<={scale.da_n}")
-    lim = scale.limits
+    rep = SuiteReport("P1-sec4-2413", "2n<=12")
     p2413 = PatternSet.parse("2413")
     p3142 = PatternSet.parse("3142")
-    for n in range(1, scale.da_n + 1):
+    for n in range(1, 13):
         rep.check(
-            ct.count_da(n, p2413, lim) == ct.catalan(n // 2),
+            ct.count_da(n, p2413, LIMITS) == ct.catalan(n // 2),
             f"|DA_{n}(2413)| = catalan({n // 2})",
         )
-    for n in range(1, min(10, scale.da_n) + 1):
+    for n in range(1, 11):
         sets = {
-            "2413": set(ct.enumerate_da(n, p2413, lim)),
-            "3142": set(ct.enumerate_da(n, p3142, lim)),
-            "both": set(ct.enumerate_da(n, PatternSet.parse("2413,3142"), lim)),
+            "2413": set(ct.enumerate_da(n, p2413, LIMITS)),
+            "3142": set(ct.enumerate_da(n, p3142, LIMITS)),
+            "both": set(ct.enumerate_da(n, PatternSet.parse("2413,3142"), LIMITS)),
         }
-        baxter = {w for w in ct.enumerate_da(n, None, lim) if is_baxter(w)}
+        baxter = {w for w in ct.enumerate_da(n, None, LIMITS) if is_baxter(w)}
         rep.check(
             sets["2413"] == sets["3142"] == sets["both"] == baxter,
             f"set equality with the Baxter family, n={n}",
         )
-    for m in range(0, scale.da_n // 2 + 1):
-        dom = list(ct.enumerate_da(2 * m, p2413, lim))
+    for m in range(0, 7):
+        dom = list(ct.enumerate_da(2 * m, p2413, LIMITS))
         paths = set()
         ok = True
         for w in dom:
@@ -308,7 +302,6 @@ def suite_p1_sec4(scale: Scale) -> SuiteReport:
 
 def suite_p1_sec5(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P1-sec5-phi", "n<=7 tableaux laws; n<=5 bijection")
-    lim = scale.limits
     p1234 = PatternSet.parse("1234")
     for n in range(1, 8):
         ok_lemma = ok_sig = ok_alt = True
@@ -342,8 +335,10 @@ def suite_p1_sec5(scale: Scale) -> SuiteReport:
     ]
     ok = all(bj.colpair(bj.colpair_inverse(w)) == w for w in words)
     rep.check(ok, f"colpair round trip on {len(words)} Yamanouchi words")
+    sizes = []
     for n in range(0, 6):
-        dom = list(ct.enumerate_avoiders(n, p1234, lim))
+        dom = list(ct.enumerate_avoiders(n, p1234, LIMITS))
+        sizes.append(len(dom))
         images = set()
         ok = True
         for w in dom:
@@ -355,15 +350,14 @@ def suite_p1_sec5(scale: Scale) -> SuiteReport:
                 ok = False
                 break
             images.add(img)
-        cod = set(ct.enumerate_da(2 * n, p1234, lim))
+        cod = set(ct.enumerate_da(2 * n, p1234, LIMITS))
         rep.check(ok and images == cod, f"phi bijection at n={n} ({len(dom)} elements)")
+    rep.check(sizes == [1, 1, 2, 6, 23, 103], f"phi domain sizes {sizes}, n<=5")
     return rep
 
 
 def suite_p1_sec6(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-sec6-psi", f"n<={min(10, scale.da_n)}")
-    lim = scale.limits
-    nmax = min(10, scale.da_n)
+    rep = SuiteReport("P1-sec6-psi", "n<=10")
     fig_sigma = (1, 11, 7, 9, 5, 12, 8, 10, 3, 4, 2, 6)
     region = bj.active_region(fig_sigma, (3, 4))
     rep.check(
@@ -372,9 +366,9 @@ def suite_p1_sec6(scale: Scale) -> SuiteReport:
         "figure example: nonempty region, active dots on odd coordinates",
     )
     p12, p21 = PatternSet.parse("1234"), PatternSet.parse("2134")
-    for n in range(0, nmax + 1):
-        dom = list(ct.enumerate_da(n, p12, lim))
-        cod = set(ct.enumerate_da(n, p21, lim))
+    for n in range(0, 11):
+        dom = list(ct.enumerate_da(n, p12, LIMITS))
+        cod = set(ct.enumerate_da(n, p21, LIMITS))
         ok = True
         images = set()
         for w in dom:
@@ -391,7 +385,7 @@ def suite_p1_sec6(scale: Scale) -> SuiteReport:
         rep.check(ok and images == cod, f"psi bijection with fixed inactive dots, n={n}")
     # region depends only on the inactive dots
     groups: dict[tuple, set] = {}
-    for w in ct.enumerate_da(min(8, nmax), p12, lim):
+    for w in ct.enumerate_da(8, p12, LIMITS):
         reg = bj.active_region(w, (3, 4))
         inside = set(reg.placement)
         key = tuple(sorted((i + 1, v) for i, v in enumerate(w) if (i + 1, v) not in inside))
@@ -402,7 +396,7 @@ def suite_p1_sec6(scale: Scale) -> SuiteReport:
     )
     # uniqueness of the monotone replacements against brute force
     checked = True
-    for w in ct.enumerate_da(min(8, nmax), p12, lim):
+    for w in ct.enumerate_da(8, p12, LIMITS):
         reg = bj.active_region(w, (3, 4))
         if not reg.placement:
             continue
@@ -416,22 +410,20 @@ def suite_p1_sec6(scale: Scale) -> SuiteReport:
 
 
 def suite_p1_prop72(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-prop7.2", f"2n<={min(10, scale.da_n)}")
-    lim = scale.limits
-    for m in range(1, min(10, scale.da_n) // 2 + 1):
-        a = ct.count_da(2 * m, PatternSet.parse("2143"), lim)
-        b = ct.count_da(2 * m + 1, PatternSet.parse("3412"), lim)
-        c = ct.count_da(2 * m + 2, PatternSet.parse("3412"), lim)
+    rep = SuiteReport("P1-prop7.2", "2n<=10")
+    for m in range(1, 6):
+        a = ct.count_da(2 * m, PatternSet.parse("2143"), LIMITS)
+        b = ct.count_da(2 * m + 1, PatternSet.parse("3412"), LIMITS)
+        c = ct.count_da(2 * m + 2, PatternSet.parse("3412"), LIMITS)
         rep.check(a == b == c, f"2n={2 * m}: {a} = {b} = {c}")
     return rep
 
 
 def suite_p1_prop81(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-prop8.1", f"n<={min(14, scale.limits.da)}")
-    lim = scale.limits
+    rep = SuiteReport("P1-prop8.1", "n<=14")
     ps = PatternSet.parse("1234,2413")
-    for n in range(1, min(14, lim.da) + 1):
-        got = ct.count_da(n, ps, lim)
+    for n in range(1, 15):
+        got = ct.count_da(n, ps, LIMITS)
         if n % 2 == 0:
             expect = ct.fibonacci(n // 2 + 1)
         elif n == 5:
@@ -444,12 +436,12 @@ def suite_p1_prop81(scale: Scale) -> SuiteReport:
 
 def _conjecture_suite(name: str) -> Callable[[Scale], SuiteReport]:
     def run(scale: Scale) -> SuiteReport:
-        rep = SuiteReport(name, f"n<={scale.conjecture_n}")
-        report = ct.conjecture_report(name, scale.conjecture_n, scale.limits)
+        rep = SuiteReport(name, "n<=12")
+        report = ct.conjecture_report(name, 12, LIMITS)
         for row in report.rows:
             status = "agree" if row.match else "DISAGREE"
             rep.note(f"n={row.n}: observed={row.observed} predicted={row.predicted} {status}")
-        rep.check(True, f"report generated; all_match={report.all_match}")
+        rep.check(bool(report.rows), f"report generated; all_match={report.all_match}")
         return rep
 
     return run
@@ -461,23 +453,30 @@ def _conjecture_suite(name: str) -> Callable[[Scale], SuiteReport]:
 
 def suite_p2_trees(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P2-trees-graphs", "depths 6-8")
-    lim = scale.limits
-    t = gg.build_tree(PatternSet.parse("123"), "standard", 5, lim)
+    t = gg.build_tree(PatternSet.parse("123"), "standard", 5, LIMITS)
     rep.check(gg.level_sizes(t) == [1, 1, 2, 5, 14, 42], "level sizes for the Catalan family")
-    t = gg.build_tree(PatternSet.parse("213,4123"), "standard", 4, lim)
+    fib = PatternSet.parse("213,4123")
+    t = gg.build_tree(fib, "standard", 4, LIMITS)
     rep.check(gg.level_sizes(t) == [1, 1, 2, 5, 13], "level sizes for the Fibonacci family")
-    g, _ = gg.discover_graph(PatternSet.parse("123"), "standard", 8, 4, lim)
-    ok, _ = gg.validate_graph(g, PatternSet.parse("123"), "standard", 8, lim)
+    g, _ = gg.discover_graph(PatternSet.parse("123"), "standard", 8, 4, LIMITS)
+    ok, _ = gg.validate_graph(g, PatternSet.parse("123"), "standard", 8, LIMITS)
     rep.check(ok, "discovered Catalan graph validates to depth 8")
-    g2, _ = gg.discover_graph(PatternSet.parse("213,4123"), "standard", 8, 4, lim)
+    g2, _ = gg.discover_graph(fib, "standard", 8, 4, LIMITS)
     rep.check(len(g2.classes) == 3, "Fibonacci family graph has three classes")
-    ok, _ = gg.validate_graph(g2, PatternSet.parse("213,4123"), "standard", 8, lim)
+    ok, _ = gg.validate_graph(g2, fib, "standard", 8, LIMITS)
     rep.check(ok, "Fibonacci graph validates to depth 8")
+    # the family's generating function (1-2x)/(1-3x+x^2) gives the
+    # odd-indexed Fibonacci numbers in the F_1=F_2=1 convention
+    odd_fib = [1] + [ct.fibonacci(2 * n - 1) for n in range(1, 13)]
     series = gg.walk_series(gg.even_fibonacci_graph(), (12, 0, 0))
     rep.check(
-        series.univariate() == [1] + [ct.fibonacci(2 * n - 1) for n in range(1, 13)],
+        series.univariate() == odd_fib,
         "three-class graph walks give the odd-indexed Fibonacci numbers",
     )
+    brute = [ct.count_avoiders(n, fib, LIMITS) for n in range(13)]
+    rep.check(brute == odd_fib, "|S_n(213,4123)| by brute force, n<=12")
+    walks = gg.walk_series(g2, (12, 0, 0)).univariate()
+    rep.check(walks == brute, "discovered Fibonacci graph walks equal brute force, n<=12")
     series = gg.walk_series(gg.catalan_graph(12), (10, 0, 0))
     rep.check(
         series.univariate() == [ct.catalan(n) for n in range(11)],
@@ -488,7 +487,7 @@ def suite_p2_trees(scale: Scale) -> SuiteReport:
         "Catalan and Fibonacci graphs are not isomorphic",
     )
     rep.check(
-        gg.discovery_is_stable(PatternSet.parse("213,4123"), "standard", 6, 4, 2, lim),
+        gg.discovery_is_stable(fib, "standard", 6, 4, 2, LIMITS),
         "fingerprint depth is stable for the Fibonacci family",
     )
     return rep
@@ -513,13 +512,12 @@ def suite_p2_gadgets(scale: Scale) -> SuiteReport:
 
 
 def suite_p2_sec3(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P2-sec3", f"cells to {min(6, scale.ext_total)}")
-    lim = scale.limits
-    total = min(6, scale.ext_total)
+    rep = SuiteReport("P2-sec3", "cells to 6")
+    total = 6
     for pat in ("123", "132", "213,4123"):
         ps = PatternSet.parse(pat)
-        table = ct.extended_table(ps, total, lim)
-        inv_table = ct.extended_table(ps.inverse(), total, lim)
+        table = ct.extended_table(ps, total, LIMITS)
+        inv_table = ct.extended_table(ps.inverse(), total, LIMITS)
         ok = all(
             table.get((d, c, r), 0) == inv_table.get((d, r, c), 0)
             for d in range(total + 1)
@@ -539,7 +537,7 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
     for d in range(3):
         for c in range(2):
             for r in range(2):
-                for pp in ct.enumerate_extended(d, c, r, ps, lim):
+                for pp in ct.enumerate_extended(d, c, r, ps, LIMITS):
                     for site in range(1, pp.rows + 2):
                         active = extendably_avoids(_insert_dot(pp, site), ps)
                         r_active = extendably_avoids(_insert_row(pp, site), ps)
@@ -556,7 +554,7 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
     rep.check(ok_row_law, "without empty rows, r-active sites are active")
     rep.check(ok_c, "bottom-site activity implies c-activity")
     # the dotted ladder: row-classes only reach row-classes
-    g, _ = gg.discover_graph(PatternSet.parse("123"), "standard-extended", 5, 4, lim)
+    g, _ = gg.discover_graph(PatternSet.parse("123"), "standard-extended", 5, 4, LIMITS)
     names = g.classes
     row_classes = {
         i
@@ -588,25 +586,21 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
 
 
 def suite_p2_formulas(scale: Scale) -> SuiteReport:
-    rep = SuiteReport(
-        "P2-formula-audit",
-        f"d<={scale.ext_d}, c,r<={scale.ext_cr}, total<={scale.ext_total}",
-    )
-    orders = (scale.ext_d, scale.ext_cr, scale.ext_cr)
-    lim = scale.limits
+    rep = SuiteReport("P2-formula-audit", "d<=8, c,r<=6, total<=8")
+    orders = (8, 6, 6)
     for ps, formulas_list in fm.FORMULAS.items():
-        cells = ct.extended_table(ps, scale.ext_total, lim)
+        cells = ct.extended_table(ps, 8, LIMITS)
         brute = series_from_cells(cells, orders)
         for idx, formula in enumerate(formulas_list):
             series = expand_rational(formula, orders)
             ok = all(
                 series[m] == brute[m]
                 for m in set(series.coeffs) | set(brute.coeffs)
-                if sum(m) <= scale.ext_total
+                if sum(m) <= 8
             )
             rep.check(ok, f"Ext formula {idx + 1} for {{{ps}}}")
     for ps in fm.EXTENDABLY_SYMMETRIC:
-        cells = ct.extended_table(ps, min(scale.ext_total, 7), lim)
+        cells = ct.extended_table(ps, 7, LIMITS)
         ok = all(
             cells.get((d, c, r), 0) == cells.get((d, r, c), 0) for (d, c, r) in cells
         )
@@ -616,18 +610,17 @@ def suite_p2_formulas(scale: Scale) -> SuiteReport:
 
 def suite_p2_graph_equivalences(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P2-graph-equivalences", "discovery depth 6, fingerprints 4")
-    lim = scale.limits
     for ps_a, rule_a, ps_b, rule_b in fm.GRAPH_EQUIVALENT:
-        ga, ca = gg.discover_graph(ps_a, rule_a, 6, 4, lim)
-        gb, cb = gg.discover_graph(ps_b, rule_b, 6, 4, lim)
+        ga, ca = gg.discover_graph(ps_a, rule_a, 6, 4, LIMITS)
+        gb, cb = gg.discover_graph(ps_b, rule_b, 6, 4, LIMITS)
         iso, _ = gg.graph_isomorphic(ga, gb)
         rep.check(iso, f"{{{ps_a}}} ({rule_a}) ~ {{{ps_b}}} ({rule_b})")
-        ok_a, _ = gg.validate_graph(ga, ps_a, rule_a, 6, lim)
-        ok_b, _ = gg.validate_graph(gb, ps_b, rule_b, 6, lim)
+        ok_a, _ = gg.validate_graph(ga, ps_a, rule_a, 6, LIMITS)
+        ok_b, _ = gg.validate_graph(gb, ps_b, rule_b, 6, LIMITS)
         rep.check(ok_a and ok_b, f"both graphs validate to horizon 6")
     # graph-induced bijection between the two increasing-family graphs
-    ga, ca = gg.discover_graph(PatternSet.parse("123"), "standard-extended", 6, 4, lim)
-    gb, cb = gg.discover_graph(PatternSet.parse("213"), "standard-extended", 6, 4, lim)
+    ga, ca = gg.discover_graph(PatternSet.parse("123"), "standard-extended", 6, 4, LIMITS)
+    gb, cb = gg.discover_graph(PatternSet.parse("213"), "standard-extended", 6, 4, LIMITS)
     iso, mapping = gg.graph_isomorphic(ga, gb)
     ok = bool(iso)
     objects = 0
@@ -636,8 +629,8 @@ def suite_p2_graph_equivalences(scale: Scale) -> SuiteReport:
             for d in range(total + 1):
                 for c in range(total - d + 1):
                     r = total - d - c
-                    dom = ct.enumerate_extended(d, c, r, PatternSet.parse("123"), lim)
-                    cod = set(ct.enumerate_extended(d, c, r, PatternSet.parse("213"), lim))
+                    dom = ct.enumerate_extended(d, c, r, PatternSet.parse("123"), LIMITS)
+                    cod = set(ct.enumerate_extended(d, c, r, PatternSet.parse("213"), LIMITS))
                     images = {
                         gg.walk_decode(gg.walk_encode(o, ca, iso=mapping), cb)
                         for o in dom
@@ -651,12 +644,10 @@ def suite_p2_graph_equivalences(scale: Scale) -> SuiteReport:
 
 def suite_p2_pair_table(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P2-pair-table", "cells with d+c+r<=6")
-    lim = scale.limits
-    total = min(6, scale.ext_total)
     tables: dict[str, dict] = {}
     for name, group in fm.PAIR_TABLE_GROUPS.items():
         for ps in group:
-            tables[str(ps)] = ct.extended_table(ps, total, lim)
+            tables[str(ps)] = ct.extended_table(ps, 6, LIMITS)
     for name, group in fm.PAIR_TABLE_GROUPS.items():
         base = tables[str(group[0])]
         for ps in group[1:]:
@@ -672,8 +663,8 @@ def suite_p2_pair_table(scale: Scale) -> SuiteReport:
     for name, group in fm.PAIR_TABLE_ORDINARY.items():
         base, other = group
         ok = all(
-            ct.count_avoiders(n, base, lim) == ct.count_avoiders(n, other, lim)
-            for n in range(min(8, scale.wilf_n) + 1)
+            ct.count_avoiders(n, base, LIMITS) == ct.count_avoiders(n, other, LIMITS)
+            for n in range(9)
         )
         rep.check(ok, f"group {name}: plain counts agree")
     return rep
@@ -1054,9 +1045,9 @@ def suite_p3_diagram(scale: Scale) -> SuiteReport:
 
 
 def suite_p3_lr(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P3-lr-coefficients", f"|lambda|<={scale.lr_size}")
+    rep = SuiteReport("P3-lr-coefficients", "|lambda|<=8")
     ok_sym = ok_bij = True
-    for n in range(1, scale.lr_size + 1):
+    for n in range(1, 9):
         for lam in tb.partitions_of(n):
             for mu_size in range(n + 1):
                 for mu in tb.partitions_of(mu_size):

@@ -1,26 +1,26 @@
 """The acceptance criteria, one test per criterion, exact arithmetic only.
 
+Every criterion except c10 runs the ``permutoria verify`` suites that state
+its laws, at the sizes fixed in ``verify.py``, and passes when every check
+in them passes; a failure names the suite and its first counterexample.
+c10 states its involution laws itself, on 4x4 boxes.  ``test_suite_passes``
+runs the suites that no criterion names, so tier-1 runs every suite.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion with its runtime.
 """
 
+import functools
 import itertools
 import time
 
 import pytest
 
-from permutoria import bijections as bj
-from permutoria import counting as ct
-from permutoria import formulas as fm
-from permutoria import gengraph as gg
 from permutoria import involutions as iv
 from permutoria import tableau as tb
-from permutoria.limits import Limits
-from permutoria.permcore import PatternSet, is_baxter
-from permutoria.series import MultiSeries, expand_rational, series_from_cells
+from permutoria import verify
 from permutoria.verify import dominant_universe, lr_universe, ssyt_universe
 
-L = Limits(enumeration=12, da=14, extended=10, tree_depth=14)
 ck = iv.content_key
 
 
@@ -55,185 +55,73 @@ def ssyt_box_universe():
     return list(ssyt_universe(4, 4, 4))
 
 
-def test_criterion_01_length3_catalan():
-    with Criterion(1, "length-3 families are Catalan, n<=10", 10.0):
-        for pat in ("123", "132", "213", "231", "312", "321"):
-            ps = PatternSet.parse(pat)
-            for n in range(11):
-                assert ct.count_avoiders(n, ps, L) == ct.catalan(n)
+@functools.cache
+def suite_report(name: str) -> verify.SuiteReport:
+    """Each suite runs once per session; c1 and c2 share ``intro-wilf``."""
+    return verify.run_suite(name)
 
 
-def test_criterion_02_length4_classes():
-    with Criterion(2, "length-4 class tables through n=10", 120.0):
-        tables = {
-            "1234": [1, 1, 2, 6, 23, 103, 513, 2761, 15767, 94359, 586590],
-            "1324": [1, 1, 2, 6, 23, 103, 513, 2762, 15793, 94776, 591950],
-            "1342": [1, 1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662],
-        }
-        for pat, expected in tables.items():
-            ps = PatternSet.parse(pat)
-            assert [ct.count_avoiders(n, ps, L) for n in range(11)] == expected
-        for n in range(10):
-            assert ct.count_avoiders(n, PatternSet.parse("1342"), L) == ct.count_avoiders(
-                n, PatternSet.parse("2413"), L
-            )
+def check_suite(name: str):
+    report = suite_report(name)
+    assert report.ok, f"{name}: {report.first_counterexample}"
 
 
-def test_criterion_03_fibonacci_family():
-    with Criterion(3, "|S_n(213,4123)| by brute force and by graph walks, n<=12", 60.0):
-        ps = PatternSet.parse("213,4123")
-        # the family's generating function (1-2x)/(1-3x+x^2) gives the
-        # odd-indexed Fibonacci numbers in the F_1=F_2=1 convention
-        brute = [ct.count_avoiders(n, ps, L) for n in range(13)]
-        assert brute == [1] + [ct.fibonacci(2 * n - 1) for n in range(1, 13)]
-        graph, _ = gg.discover_graph(ps, "standard", 8, 4, L)
-        assert len(graph.classes) == 3
-        walks = gg.walk_series(graph, (12, 0, 0)).univariate()
-        assert walks == brute
+CRITERION_SUITES: dict[int, tuple[str, ...]] = {}
 
 
-def test_criterion_04_doubly_alternating():
-    with Criterion(4, "doubly alternating families and the Dyck bijection", 60.0):
-        for n in range(1, 13):
-            for pat in ("123", "213", "231", "312"):
-                assert ct.count_da(n, PatternSet.parse(pat), L) == 1
-            assert ct.count_da(n, PatternSet.parse("132"), L) == (
-                1 if (n % 2 == 0 or n == 1) else 0
-            )
-            assert ct.count_da(n, PatternSet.parse("321"), L) == 1 + (
-                1 if (n % 2 == 0 and n >= 4) else 0
-            )
-            assert ct.count_da(n, PatternSet.parse("2413"), L) == ct.catalan(n // 2)
-        for m in range(7):
-            dom = list(ct.enumerate_da(2 * m, PatternSet.parse("2413"), L))
-            paths = {bj.theta(w) for w in dom}
-            assert len(paths) == len(dom) == ct.catalan(m)
-            for w in dom:
-                assert bj.theta_inverse(bj.theta(w)) == w
-        for n in range(1, 11):
-            families = [
-                set(ct.enumerate_da(n, PatternSet.parse("2413"), L)),
-                set(ct.enumerate_da(n, PatternSet.parse("3142"), L)),
-                set(ct.enumerate_da(n, PatternSet.parse("2413,3142"), L)),
-                {w for w in ct.enumerate_da(n, None, L) if is_baxter(w)},
-            ]
-            assert families[0] == families[1] == families[2] == families[3]
-        for m in range(1, 6):
-            a = ct.count_da(2 * m, PatternSet.parse("2143"), L)
-            b = ct.count_da(2 * m + 1, PatternSet.parse("3412"), L)
-            c = ct.count_da(2 * m + 2, PatternSet.parse("3412"), L)
-            assert a == b == c
-        for n in range(1, 15):
-            got = ct.count_da(n, PatternSet.parse("1234,2413"), L)
-            if n % 2 == 0:
-                assert got == ct.fibonacci(n // 2 + 1)
-            else:
-                assert got == (2 if n == 5 else 1)
+def criterion(number: int, label: str, budget: float, *suites: str):
+    """The test of a criterion that holds when all its suites pass."""
+    CRITERION_SUITES[number] = suites
+
+    def test():
+        with Criterion(number, label, budget):
+            for name in suites:
+                check_suite(name)
+
+    return test
 
 
-def test_criterion_05_phi():
-    with Criterion(5, "explicit bijection onto doubly alternating avoiders, n<=5", 30.0):
-        ps = PatternSet.parse("1234")
-        counts = []
-        for n in range(6):
-            dom = list(ct.enumerate_avoiders(n, ps, L))
-            cod = set(ct.enumerate_da(2 * n, ps, L))
-            images = set()
-            for w in dom:
-                img = bj.phi(w)
-                assert img in cod
-                assert bj.phi_inverse(img) == w
-                images.add(img)
-            assert len(images) == len(dom) and images == cod
-            counts.append(len(dom))
-        assert counts == [1, 1, 2, 6, 23, 103]
+test_criterion_01_length3_catalan = criterion(
+    1, "length-3 families are Catalan, n<=10", 10.0, "intro-wilf"
+)
+test_criterion_02_length4_classes = criterion(
+    2, "length-4 class tables through n=10", 120.0, "intro-wilf"
+)
+test_criterion_03_fibonacci_family = criterion(
+    3, "|S_n(213,4123)| by brute force and by graph walks, n<=12", 60.0, "P2-trees"
+)
+test_criterion_04_doubly_alternating = criterion(
+    4,
+    "doubly alternating families and the Dyck bijection",
+    60.0,
+    "P1-prop3.1",
+    "P1-sec4",
+    "P1-prop7.2",
+    "P1-prop8.1",
+)
+test_criterion_05_phi = criterion(
+    5, "explicit bijection onto doubly alternating avoiders, n<=5", 30.0, "P1-sec5"
+)
+test_criterion_06_psi = criterion(
+    6, "active-region rewiring bijection, n<=10", 60.0, "P1-sec6"
+)
+test_criterion_07_extended_formulas = criterion(
+    7, "closed formulas for extended avoidance, d+c+r<=8", 120.0, "intro-thm2.7"
+)
+test_criterion_08_formula_audit = criterion(
+    8,
+    "every displayed generating function vs brute force",
+    300.0,
+    "P2-formulas",
+    "P2-graph-equivalences",
+)
+test_criterion_09_ladder_gadgets = criterion(
+    9, "ladder gadget closed forms, k<=4 order 10", 30.0, "P2-lemmas2.8-2.10"
+)
 
 
-def test_criterion_06_psi():
-    with Criterion(6, "active-region rewiring bijection, n<=10", 60.0):
-        p12, p21 = PatternSet.parse("1234"), PatternSet.parse("2134")
-        for n in range(11):
-            dom = list(ct.enumerate_da(n, p12, L))
-            cod = set(ct.enumerate_da(n, p21, L))
-            images = set()
-            for w in dom:
-                img = bj.psi(w, (3, 4))
-                assert bj.psi_inverse(img, (3, 4)) == w
-                region = bj.active_region(w, (3, 4))
-                inside = set(region.placement)
-                for i, v in enumerate(w):
-                    if (i + 1, v) not in inside:
-                        assert img[i] == v
-                images.add(img)
-            assert images == cod
-
-
-def test_criterion_07_extended_formulas():
-    with Criterion(7, "closed formulas for extended avoidance, d+c+r<=8", 120.0):
-        from math import comb
-
-        def binom(a, b):
-            return comb(a, b) if 0 <= b <= a else 0
-
-        for pat in ("132", "231", "312", "321"):
-            table = ct.extended_table(PatternSet.parse(pat), 8, L)
-            for (d, c, r), count in table.items():
-                n = d + c + r
-                assert count == binom(n + d, d) - binom(n + d, d - 1), (pat, d, c, r)
-        for pat in ("123", "213"):
-            table = ct.extended_table(PatternSet.parse(pat), 8, L)
-            for (d, c, r), count in table.items():
-                n = d + c + r
-                expect = sum(binom(n - c, i) * binom(n - r, i) for i in range(d + 1))
-                assert count == expect - binom(n + d, d - 1), (pat, d, c, r)
-        for pat in ("123", "132", "213", "231", "312", "321"):
-            ps = PatternSet.parse(pat)
-            table = ct.extended_table(ps, 8, L)
-            inv = ct.extended_table(ps.inverse(), 8, L)
-            for (d, c, r), count in table.items():
-                assert inv.get((d, r, c), 0) == count
-
-
-def test_criterion_08_formula_audit():
-    with Criterion(8, "every displayed generating function vs brute force", 300.0):
-        orders = (8, 6, 6)
-        for ps, formulas_list in fm.FORMULAS.items():
-            cells = ct.extended_table(ps, 8, L)
-            brute = series_from_cells(cells, orders)
-            for formula in formulas_list:
-                series = expand_rational(formula, orders)
-                for m in set(series.coeffs) | set(brute.coeffs):
-                    if sum(m) <= 8:
-                        assert series[m] == brute[m], (str(ps), m)
-        for ps in fm.EXTENDABLY_SYMMETRIC:
-            cells = ct.extended_table(ps, 7, L)
-            for (d, c, r), count in cells.items():
-                assert cells.get((d, r, c), 0) == count, (str(ps), d, c, r)
-        for ps_a, rule_a, ps_b, rule_b in fm.GRAPH_EQUIVALENT:
-            ga, _ = gg.discover_graph(ps_a, rule_a, 6, 4, L)
-            gb, _ = gg.discover_graph(ps_b, rule_b, 6, 4, L)
-            iso, _ = gg.graph_isomorphic(ga, gb)
-            assert iso, (str(ps_a), str(ps_b))
-
-
-def test_criterion_09_ladder_gadgets():
-    with Criterion(9, "ladder gadget closed forms, k<=4 order 10", 30.0):
-        order = 10
-        orders = (order, 0, 0)
-        one = MultiSeries.constant(1, orders)
-        zero = MultiSeries.zero(orders)
-        x = MultiSeries.variable("x", orders)
-        for k in range(1, 5):
-            feeders = {
-                "impulse": [zero] * k + [one] + [zero] * 3,
-                "geometric": [x**j for j in range(8)],
-            }
-            for gadget in ("descent-all", "descent-own", "catalan-ladder"):
-                for name, f in feeders.items():
-                    ok, dp, closed = gg.lemma_walk_check(gadget, k, f, order)
-                    assert ok, (gadget, k, name)
-
-
+# c10 keeps its own body: P3-sec2 to P3-sec5 state most of its laws on 3x3
+# boxes, and P3-figure21 runs its verify_diagram loop on the same universe
 def test_criterion_10_involution_laws(lr_box_universe, ssyt_box_universe):
     with Criterion(10, "involution laws over 4x4 boxes with 4 letters", 120.0):
         # unary laws, exhaustive over all skew fillings
@@ -339,36 +227,34 @@ def test_criterion_10_involution_laws(lr_box_universe, ssyt_box_universe):
             assert ck(iv.rho(iv.rho_dual(t))) == ck(chi)
 
 
-def test_criterion_11_lr_coefficients():
-    with Criterion(11, "coefficient symmetry with its witnessing bijection", 300.0):
-        for n in range(1, 9):
-            for lam in tb.partitions_of(n):
-                for k in range(n + 1):
-                    for mu in tb.partitions_of(k):
-                        if not tb.contains(lam, mu):
-                            continue
-                        for nu in tb.partitions_of(n - k):
-                            a = iv.lr_coefficient(lam, mu, nu)
-                            b = iv.lr_coefficient(lam, nu, mu)
-                            assert a == b, (lam, mu, nu)
-                            if a and sum(mu):
-                                images = {
-                                    ck(iv.rho(t)) for t in tb.enumerate_lr(lam, mu, nu)
-                                }
-                                cod = {ck(t) for t in tb.enumerate_lr(lam, nu, mu)}
-                                assert images == cod
-        for a in range(1, 5):
-            for b in range(1, 5):
-                for mu in tb.partitions_of(a):
-                    for nu in tb.partitions_of(b):
-                        assert iv.schur_product_check(mu, nu, 4), (mu, nu)
+test_criterion_11_lr_coefficients = criterion(
+    11,
+    "coefficient symmetry with its witnessing bijection",
+    300.0,
+    "P3-lr",
+    "intro-schur",
+)
+test_criterion_12_conjecture_reports = criterion(
+    12,
+    "consistency reports for the conjectured families",
+    120.0,
+    "P1-7.1",
+    "P1-8.2",
+    "P1-8.3",
+)
+
+# the suites no criterion names; P3-figure21 is left out because c10 runs
+# its verify_diagram loop on the same universe
+UNNAMED_SUITES = [
+    "P1-da-basics", "P2-sec3", "P2-pair-table", "P3-sec2", "P3-sec3", "P3-sec4", "P3-sec5"
+]
 
 
-def test_criterion_12_conjecture_reports():
-    with Criterion(12, "consistency reports for the conjectured families", 120.0):
-        for name in ("P1-7.1", "P1-8.2", "P1-8.3"):
-            report = ct.conjecture_report(name, 12, L)
-            assert report.rows, name
-            agree = "agree" if report.all_match else "DISAGREE"
-            print(f"    {name}: {len(report.rows)} rows, closed forms {agree}")
-            # report-only: disagreement is surfaced, never a failure
+@pytest.mark.parametrize("name", UNNAMED_SUITES)
+def test_suite_passes(name):
+    check_suite(name)
+
+
+def test_every_suite_runs_in_tier1():
+    named = {name for suites in CRITERION_SUITES.values() for name in suites}
+    assert named | {*UNNAMED_SUITES, "P3-figure21"} == set(verify.SUITES)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permutoria
 from permutoria import cli, verify
 from permutoria.cli import main
 
@@ -153,6 +158,23 @@ class TestVerify:
         monkeypatch.setitem(verify.SUITES, "P2-formulas", lambda scale: stub)
         assert verify.run_suite("P2-appendixA") is stub
 
+    def test_suites_ignore_the_environment_cap(self):
+        src = str(Path(permutoria.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PERMUTORIA_LIMITS": "da=10"}
+
+        def verify_in_child(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "permutoria.cli", "verify", *argv],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+
+        prop81 = verify_in_child("P1-prop8.1", "--format", "json")
+        report = json.loads(prop81.stdout)
+        assert prop81.returncode == 0 and report["universe"] == "n<=14"
+        assert report["passed"] == 14 and report["failed"] == 0
+        assert verify_in_child("P1-sec4").returncode == 0
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -168,11 +190,18 @@ class TestVerify:
         ["discover", "--patterns", "123", "--depth", "-1"],
         ["series", "--formula", "x+"],
         ["series", "--formula", "1/(1-x"],
+        ["count", "--patterns", "123", "--n", "-1"],
+        ["biject", "--name", "phi", "--n", "-1"],
+        ["discover", "--patterns", "123", "--depth", "2", "--validate", "-1"],
+        ["verify", "P3-figure21", "--letters", "0"],
+        ["verify", "P3-figure21", "--box", "0x0"],
     ],
     ids=[
         "tau", "box", "json", "json-key", "dcr", "orders",
         "fp-depth-negative", "fp-depth-zero", "depth-negative",
         "formula-dangling", "formula-unbalanced",
+        "n-negative", "biject-n-negative", "validate-negative",
+        "letters-zero", "box-zero",
     ],
 )
 def test_malformed_input_is_one_line(capsys, argv):
