@@ -243,6 +243,7 @@ test_criterion_12_conjecture_reports = criterion(
     "P1-8.3",
 )
 
+
 # the suites no criterion names; P3-figure21 is left out because c10 runs
 # its verify_diagram loop on the same universe
 UNNAMED_SUITES = [
