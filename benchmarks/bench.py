@@ -17,9 +17,12 @@ seed, ``perfbench/run.py --trace 0`` runs once on each side, for the
 goes first alternates from pair to pair, so slow drift of the host hits
 both sides alike.  ``BENCH_<pr>.json`` at the repository root receives both
 shas, every run's end-to-end metrics and, per metric, the median and
-quartiles of each side, the relative change of the medians and the number
-of pairs in which the head was better.  The file is rewritten after every
-pair, so an interrupted run keeps what it measured.  Standard library only.
+quartiles of each side, the relative change of the medians, the number
+of pairs in which the head was better, whether the head's median is worse
+than the base's by more than the metric's ``bound`` (``worse_than_bound``)
+and whether it lies outside the base's quartiles
+(``outside_base_quartiles``).  The file is rewritten after every pair, so
+an interrupted run keeps what it measured.  Standard library only.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         head = [run["head"][name] for run in runs]
         b, h = spread(base), spread(head)
         better = sum((y > x) if higher else (y < x) for x, y in zip(base, head))
+        worse = b["median"] - h["median"] if higher else h["median"] - b["median"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -88,6 +92,8 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             "head": h,
             "change": (h["median"] - b["median"]) / b["median"] if b["median"] else None,
             "pairs_head_better": better,
+            "worse_than_bound": worse > metric["bound"] * abs(b["median"]),
+            "outside_base_quartiles": not b["q1"] <= h["median"] <= b["q3"],
         }
     return out
 

@@ -28,9 +28,11 @@ def _parse_dcr(text: str) -> tuple[int, int, int]:
     try:
         d, c, r = (int(x) for x in text.split(","))
     except ValueError:
+        d = c = r = -1
+    if min(d, c, r) < 0:
         raise argparse.ArgumentTypeError(
-            f"expected d,c,r as three integers, got {text!r}"
-        ) from None
+            f"expected d,c,r as three integers >= 0, got {text!r}"
+        )
     return d, c, r
 
 
@@ -39,9 +41,9 @@ def _parse_orders(text: str) -> tuple[int, int, int]:
         parts = [int(x) for x in text.split(",")]
     except ValueError:
         parts = []
-    if not 1 <= len(parts) <= 3:
+    if not 1 <= len(parts) <= 3 or min(parts) < 0:
         raise argparse.ArgumentTypeError(
-            f"expected one to three integer orders x,y,z, got {text!r}"
+            f"expected one to three integer orders x,y,z >= 0, got {text!r}"
         )
     return tuple(parts + [0] * (3 - len(parts)))  # type: ignore[return-value]
 
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brute", action="store_true")
     p.add_argument("--patterns", type=PatternSet.parse)
     p.add_argument("--orders", type=_parse_orders, default=(6, 4, 4))
-    p.add_argument("--total", type=int, help="total-degree cap (default: extended limit)")
+    p.add_argument("--total", type=_at_least(0), help="total-degree cap (default: extended limit)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.set_defaults(func=cmd_series)
 

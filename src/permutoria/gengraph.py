@@ -63,9 +63,6 @@ class GeneratingGraph:
             i for i in range(len(self.classes)) if i not in with_out and self.complete[i]
         )
 
-    def out_edges(self, src: int) -> list[Edge]:
-        return [e for e in self.edges if e.src == src]
-
     # -- serialization -------------------------------------------------------
     def to_json(self) -> str:
         return json.dumps(
@@ -327,12 +324,12 @@ def discovery_is_stable(
     rule: ParentRule,
     depth: int,
     fp_depth: int,
-    extra: int = 2,
     limits: Limits = DEFAULT_LIMITS,
 ) -> bool:
-    """True iff raising the fingerprint depth creates no new classes."""
+    """True iff raising the fingerprint depth by one or two creates no new
+    classes."""
     base, _ = discover_graph(patterns, rule, depth, fp_depth, limits)
-    for bump in range(1, extra + 1):
+    for bump in (1, 2):
         nxt, _ = discover_graph(patterns, rule, depth, fp_depth + bump, limits)
         if len(nxt.classes) != len(base.classes):
             return False

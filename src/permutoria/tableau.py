@@ -156,9 +156,10 @@ class SkewTableau:
         box2: tuple[int, int],
         orientation: str | None,
     ) -> "SkewTableau":
-        """Build without validation, for the word-route maps whose output is
-        valid by construction; the tests check those outputs against the
-        sliding routes and the validating constructor."""
+        """Build without validation, for the word-route maps and rotation,
+        whose output is valid by construction; the tests check those outputs
+        against the sliding routes, the recording-matrix route and the
+        validating constructor."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "outer", outer)
         object.__setattr__(obj, "inner", inner)
@@ -192,9 +193,6 @@ class SkewTableau:
         for i, row in enumerate(self.rows):
             for k, v in enumerate(row):
                 yield (i, pad[i] + k, v)
-
-    def is_partition_shaped(self) -> bool:
-        return not self.inner
 
     def pretty(self) -> str:
         if not self.outer:
@@ -350,10 +348,6 @@ def transpose_matrix(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
-def rotate_matrix(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(reversed(row)) for row in reversed(m))
-
-
 def is_dominant(t: SkewTableau, comp_outer: Partition, comp_inner: Partition = ()) -> bool:
     try:
         companion(t, comp_outer, comp_inner)
@@ -404,9 +398,13 @@ def rotate(t: SkewTableau) -> SkewTableau:
     r1, c1 = t.box1
     new_outer = complement_in_box(t.inner, r1, c1)
     new_inner = complement_in_box(t.outer, r1, c1)
-    m = rotate_matrix(recording_matrix(t))
-    flip = FLIP_ORIENTATION[t.orientation]
-    return tableau_from_recording(new_outer, new_inner, m, t.box1, t.box2, flip)
+    top = t.letters + 1
+    padded = t.rows + ((),) * (r1 - len(t.rows))
+    rows = tuple(tuple(top - v for v in reversed(row)) for row in reversed(padded))
+    return SkewTableau._trusted(
+        new_outer, new_inner, rows[: len(new_outer)], t.box1, t.box2,
+        FLIP_ORIENTATION[t.orientation],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -487,7 +487,7 @@ def suite_p2_trees(scale: Scale) -> SuiteReport:
         "Catalan and Fibonacci graphs are not isomorphic",
     )
     rep.check(
-        gg.discovery_is_stable(fib, "standard", 6, 4, 2, LIMITS),
+        gg.discovery_is_stable(fib, "standard", 6, 4, LIMITS),
         "fingerprint depth is stable for the Fibonacci family",
     )
     return rep
@@ -781,7 +781,7 @@ def suite_p3_sliding(scale: Scale) -> SuiteReport:
     rep.check(ok, "weight reversal word squares to the identity")
     ok_t = ok_z = ok_tsplit = True
     for t in ssyt_universe(2, 3, 4):
-        for k in range(0, 3):
+        for k in range(0, 4):
             l = t.letters - k
             if l < 0:
                 continue

@@ -195,6 +195,9 @@ class TestVerify:
         ["discover", "--patterns", "123", "--depth", "2", "--validate", "-1"],
         ["verify", "P3-figure21", "--letters", "0"],
         ["verify", "P3-figure21", "--box", "0x0"],
+        ["series", "--formula", "1/(1-x)", "--orders", "3,0,0", "--total", "-1"],
+        ["count", "--patterns", "123", "--dcr=-1,0,0"],
+        ["series", "--formula", "1/(1-x)", "--orders=-3,0,0"],
     ],
     ids=[
         "tau", "box", "json", "json-key", "dcr", "orders",
@@ -202,6 +205,7 @@ class TestVerify:
         "formula-dangling", "formula-unbalanced",
         "n-negative", "biject-n-negative", "validate-negative",
         "letters-zero", "box-zero",
+        "total-negative", "dcr-negative", "orders-negative",
     ],
 )
 def test_malformed_input_is_one_line(capsys, argv):

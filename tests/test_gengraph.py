@@ -65,7 +65,7 @@ class TestDiscovery:
             gg.discover_graph(PatternSet.parse("123"), "standard-extended", depth, fp_depth, L)
 
     def test_stability(self):
-        assert gg.discovery_is_stable(PatternSet.parse("213,4123"), "standard", 6, 4, 2, L)
+        assert gg.discovery_is_stable(PatternSet.parse("213,4123"), "standard", 6, 4, L)
 
     def test_extended_validation(self):
         g, _ = gg.discover_graph(PatternSet.parse("132"), "standard-extended", 6, 4, L)

@@ -64,17 +64,6 @@ class TestBenderKnuth:
         t = tb.make_tableau([[1, 1], [2]], box2=(2, 2))
         assert iv.bender_knuth(t, 1).rows == ((1, 2), (2,))
 
-    def test_involution_exhaustive(self):
-        for t in small_universe():
-            for i in range(1, t.letters):
-                assert ck(iv.bender_knuth(iv.bender_knuth(t, i), i)) == ck(t)
-
-    def test_distant_generators_commute(self):
-        for t in ssyt_universe(2, 3, 4):
-            a = iv.bender_knuth(iv.bender_knuth(t, 1), 3)
-            b = iv.bender_knuth(iv.bender_knuth(t, 3), 1)
-            assert ck(a) == ck(b)
-
     def test_weight_action(self):
         for t in small_universe():
             for i in range(1, t.letters):
@@ -116,46 +105,6 @@ class TestWords:
         t = tb.make_tableau([[1, 2], [2]], box2=(2, 2))
         with pytest.raises(ValueError):
             iv.apply_bk_word(t, (1, 2))
-
-    def test_z_square(self):
-        for t in small_universe():
-            w = iv.zm_word(t.letters)
-            assert ck(iv.apply_bk_word(iv.apply_bk_word(t, w), w)) == ck(t)
-
-    def test_t_cancellation(self):
-        for t in ssyt_universe(2, 3, 4):
-            for k in (1, 2, 3):
-                l = t.letters - k
-                if l < 0:
-                    continue
-                out = iv.apply_bk_word(iv.apply_bk_word(t, iv.t_word(k, l)), iv.t_word(l, k))
-                assert ck(out) == ck(t)
-
-    def test_z_split(self):
-        for t in ssyt_universe(2, 3, 4):
-            for k in (1, 2, 3):
-                l = t.letters - k
-                if l <= 0:
-                    continue
-                left = iv.apply_bk_word(t, iv.zm_word(t.letters))
-                right = iv.apply_bk_word(
-                    iv.apply_bk_word(iv.apply_bk_word(t, iv.zm_word(l)), iv.t_word(l, k)),
-                    iv.zm_word(k),
-                )
-                assert ck(left) == ck(right)
-
-    def test_t_split(self):
-        for t in ssyt_universe(2, 3, 4):
-            for l in (1, 2):
-                for k in (1, 2):
-                    m = t.letters - l - k
-                    if m <= 0:
-                        continue
-                    lhs = iv.apply_bk_word(t, iv.t_word(l + k, m))
-                    rhs = iv.apply_bk_word(
-                        iv.apply_bk_word(t, iv.t_word(k, m, d=l)), iv.t_word(l, m)
-                    )
-                    assert ck(lhs) == ck(rhs)
 
 
 class TestSchuetzenberger:
@@ -236,19 +185,6 @@ class TestMatrixRSK:
         p, q = iv.rsk_matrix(((0, 0), (0, 0)))
         assert p.size() == q.size() == 0
 
-    def test_knuth_laws(self):
-        for entries in itertools.product(range(2), repeat=9):
-            m = (entries[0:3], entries[3:6], entries[6:9])
-            p, q = iv.rsk_matrix(m)
-            pt, qt = iv.rsk_matrix(tuple(zip(*m)))
-            assert ck(pt) == ck(q) and ck(qt) == ck(p)
-            if any(entries):
-                rot = tuple(tuple(reversed(r)) for r in reversed(m))
-                pr, qr = iv.rsk_matrix(rot)
-                assert ck(pr) == ck(iv.schuetzenberger(p))
-                assert ck(qr) == ck(iv.schuetzenberger(q))
-            assert iv.rsk_matrix_inverse(p, q) == m
-
     def test_inverse_on_general_matrices(self):
         for entries in itertools.product(range(3), repeat=4):
             m = (entries[0:2], entries[2:4])
@@ -261,17 +197,6 @@ class TestTableauRSK:
         t = tb.canonical((3, 1))
         p, q = iv.rsk_tableau(t)
         assert ck(p) == ck(t)
-
-    def test_suite_on_dominant_universe(self):
-        for t, nu, kap in dominant_universe(3, 3, 2, 3):
-            m = tb.recording_matrix(t)
-            p_, q_ = iv.rsk_matrix(tuple(reversed(m)))
-            p, q = iv.rsk_tableau(t, nu, kap)
-            assert ck(p) == ck(p_) == ck(iv.jdt(t))
-            assert ck(q_) == ck(iv.schuetzenberger(q))
-            assert ck(iv.jdt(tb.rotate(t))) == ck(iv.schuetzenberger(p))
-            back = iv.rsk_tableau_inverse(p, q, t.outer, t.inner)
-            assert ck(back) == ck(t)
 
     def test_injectivity(self):
         seen = {}
@@ -298,13 +223,6 @@ class TestTableauRSK:
 
 
 class TestReversal:
-    def test_involution_weight_shape(self):
-        for t in small_universe():
-            r = iv.reversal(t)
-            assert (r.outer, r.inner) == (t.outer, t.inner)
-            assert r.weight() == tuple(reversed(t.weight()))
-            assert ck(iv.reversal(r)) == ck(t)
-
     def test_partition_case_is_evacuation(self):
         for t in small_universe():
             if not t.inner:
@@ -323,34 +241,6 @@ class TestReversal:
 
 
 class TestEquivalences:
-    def test_partition_same_shape_dual_equivalent(self):
-        groups = {}
-        for t in small_universe():
-            if not t.inner:
-                groups.setdefault(t.outer, []).append(t)
-        for group in groups.values():
-            for a, b in zip(group, group[1:]):
-                assert iv.dual_equivalent(a, b)
-
-    def test_both_equivalences_force_equality(self):
-        groups = {}
-        for t in small_universe():
-            groups.setdefault((t.outer, t.inner), []).append(t)
-        for group in groups.values():
-            for a in group[:5]:
-                for b in group[:5]:
-                    if iv.jdt_equivalent(a, b) and iv.dual_equivalent(a, b):
-                        assert ck(a) == ck(b)
-
-    def test_equal_recordings_rectify_alike(self):
-        seen = {}
-        for t in ssyt_universe(3, 3, 2):
-            key = (t.outer, tb.recording_matrix(t))
-            if key in seen:
-                assert iv.jdt_equivalent(seen[key], t)
-            else:
-                seen[key] = t
-
     def test_companions_of_jdt_equivalent_are_dual_equivalent(self):
         for t, nu, kap in dominant_universe(3, 3, 2, 3):
             others = [
@@ -376,18 +266,6 @@ class TestRhoOmega:
         with pytest.raises(NotLR):
             iv.rho(t)  # word is not Yamanouchi
 
-    def test_rho_involution_and_shapes(self):
-        for t in lr_universe(3, 3, 3):
-            r = iv.rho(t)
-            assert r.outer == t.outer and r.inner == tb.normalize(t.weight())
-            assert ck(iv.rho(r)) == ck(t)
-
-    def test_rho_composition_laws(self):
-        for t in lr_universe(3, 3, 3):
-            chi = iv.reversal(t)
-            assert ck(iv.rho_dual(iv.rho(t))) == ck(chi)
-            assert ck(iv.rho(iv.rho_dual(t))) == ck(chi)
-
     def test_anti_branch(self):
         for t in lr_universe(3, 3, 3):
             x = tb.rotate(t)
@@ -410,12 +288,6 @@ class TestRhoOmega:
             assert ck(a) == ck(b) == ck(c)
             assert ck(iv.omega(a)) == ck(t)
 
-    def test_omega_triple_rho(self):
-        for t in lr_universe(3, 3, 3):
-            lhs = iv.omega(t)
-            rhs = iv.rho(tb.rotate(iv.rho(tb.rotate(iv.rho(t)))))
-            assert ck(lhs) == ck(rhs)
-
     def test_diagram_negative(self):
         # a flagged but corrupted tableau surfaces as failures, silently
         t = tb.make_tableau([[2], [1, 3]], inner=(1,), box2=(3, 2), orientation="lr")
@@ -432,18 +304,6 @@ class TestCoefficients:
     def test_empty_side(self):
         assert iv.lr_coefficient((2, 2), (2, 2), ()) == 1
         assert iv.lr_coefficient((3, 1), (2, 1), ()) == 0
-
-    def test_symmetry_small(self):
-        for n in range(1, 7):
-            for lam in tb.partitions_of(n):
-                for k in range(n + 1):
-                    for mu in tb.partitions_of(k):
-                        if not tb.contains(lam, mu):
-                            continue
-                        for nu in tb.partitions_of(n - k):
-                            assert iv.lr_coefficient(lam, mu, nu) == iv.lr_coefficient(
-                                lam, nu, mu
-                            )
 
     def test_schur_product(self):
         assert iv.schur_product_check((1,), (1, 1), 4)

@@ -2,6 +2,7 @@ import pytest
 
 from permutoria import tableau as tb
 from permutoria.errors import NotATableau, NotDominant
+from permutoria.verify import lr_universe, ssyt_universe
 
 
 class TestPartitions:
@@ -114,6 +115,23 @@ class TestRotation:
         rot = tb.rotate(t)
         assert tb.recording_matrix(rot)[0] == (2, 0, 1, 0)
         assert tb.rotate(rot) == t
+
+    def test_matches_recording_route(self):
+        # the recording-matrix route is the oracle: complement the shapes,
+        # rotate the matrix and refill through the validating constructor
+        universe = [*ssyt_universe(3, 3, 3), *lr_universe(3, 3, 3)]
+        for t in [*universe, *map(tb.rotate, universe), tb.EMPTY]:
+            r1, c1 = t.box1
+            m = tb.recording_matrix(t)
+            expected = tb.tableau_from_recording(
+                tb.complement_in_box(t.inner, r1, c1),
+                tb.complement_in_box(t.outer, r1, c1),
+                tuple(tuple(reversed(row)) for row in reversed(m)),
+                t.box1,
+                t.box2,
+                tb.FLIP_ORIENTATION[t.orientation],
+            )
+            assert tb.rotate(t) == expected
 
     def test_fixed_boxes_make_rotation_involutive(self):
         t = tb.make_tableau([[], [2], [2, 3]], inner=(3, 2, 1), box1=(3, 3), box2=(3, 2))
