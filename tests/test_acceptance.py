@@ -5,7 +5,8 @@ at the sizes fixed in ``verify.py``, and passes when every check in them
 passes; a failure names the suite and its first counterexample.  c10 runs
 four suites, then states the involution laws that no suite checks on 4x4
 boxes.  ``test_suite_passes`` runs the suites that no criterion names, so
-tier-1 runs every suite.
+tier-1 runs every suite, and c10's suites, so each has a test id of its own
+(the report is shared, so they run once).
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion with its runtime.
@@ -215,7 +216,7 @@ test_criterion_12_conjecture_reports = criterion(
 UNNAMED_SUITES = ["P1-da-basics", "P2-sec3", "P2-pair-table", "P3-sec3"]
 
 
-@pytest.mark.parametrize("name", UNNAMED_SUITES)
+@pytest.mark.parametrize("name", UNNAMED_SUITES + list(CRITERION_SUITES[10]))
 def test_suite_passes(name):
     check_suite(name)
 
