@@ -534,7 +534,7 @@ def _assert_canonical(t: SkewTableau):
 
 
 def _assert_anti_canonical(t: SkewTableau):
-    expect = schuetzenberger(canonical(t.outer, box2=(t.letters, t.box2[1])))
+    expect = anti_canonical(t.outer, box2=(t.letters, t.box2[1]))
     if (t.outer, t.inner, t.rows) != (expect.outer, expect.inner, expect.rows):
         raise CanonicalAssertFailed(f"expected the anti-canonical tableau, got\n{t.pretty()}")
 
@@ -704,51 +704,56 @@ def _oriented_companion_shape(t: SkewTableau) -> tuple[Partition, Partition]:
 
 
 def _companion_of_oriented(t: SkewTableau) -> SkewTableau:
-    nu, kappa = _oriented_companion_shape(t)
-    return replace(companion(t, nu, kappa), orientation=t.orientation)
+    return companion(t, *_oriented_companion_shape(t))
 
 
 def verify_diagram(t: SkewTableau) -> DiagramReport:
-    """Run the commutation checks on one oriented tableau."""
-    checks: list[tuple[str, bool]] = []
+    """Run the commutation and involution checks on one oriented tableau.
 
-    def run(name: str, fn: Callable[[], bool]):
-        try:
-            checks.append((name, bool(fn())))
-        except Exception:
-            checks.append((name, False))
+    Every map goes through ``apply``, which computes it at most once per
+    input, so the checks share the values they have in common.  A map that
+    raises yields None, which fails only the checks that use its value.
+    """
+    memo: dict[tuple, SkewTableau | None] = {}
 
-    def triple(x: SkewTableau) -> SkewTableau:
-        return reversal(rotate(rho(x)))
+    def apply(fn: Callable[[SkewTableau], SkewTableau], x: SkewTableau | None) -> SkewTableau | None:
+        if x is None:
+            return None
+        key = (fn, x)
+        if key not in memo:
+            try:
+                memo[key] = fn(x)
+            except Exception:
+                memo[key] = None
+        return memo[key]
 
-    run("threefold-composite", lambda: content_key(triple(triple(triple(t)))) == content_key(t))
-    run(
-        "reversal-commutes-rotation",
-        lambda: content_key(reversal(rotate(t))) == content_key(rotate(reversal(t))),
-    )
-    run(
-        "companion-commutes-rotation",
-        lambda: content_key(_companion_of_oriented(rotate(t)))
-        == content_key(rotate(_companion_of_oriented(t))),
-    )
-    def square() -> bool:
-        nu, kappa = _oriented_companion_shape(t)
-        x1 = companion(t, nu, kappa)
-        x2 = reversal(x1)
-        r1, c1 = t.box1
-        x3 = companion(
-            x2, complement_in_box(t.inner, r1, c1), complement_in_box(t.outer, r1, c1)
+    def same(x: SkewTableau | None, y: SkewTableau | None) -> bool:
+        return x is not None and y is not None and content_key(x) == content_key(y)
+
+    def triple(x: SkewTableau | None) -> SkewTableau | None:
+        return apply(reversal, apply(rotate, apply(rho, x)))
+
+    r1, c1 = t.box1
+
+    def companion_of_rotated_shape(x: SkewTableau) -> SkewTableau:
+        return companion(x, complement_in_box(t.inner, r1, c1), complement_in_box(t.outer, r1, c1))
+
+    rot, rev, om = apply(rotate, t), apply(reversal, t), apply(omega, t)
+    comp = apply(_companion_of_oriented, t)
+    square = apply(reversal, apply(companion_of_rotated_shape, apply(reversal, comp)))
+    return DiagramReport(
+        (
+            ("threefold-composite", same(triple(triple(triple(t))), t)),
+            ("reversal-commutes-rotation", same(apply(reversal, rot), apply(rotate, rev))),
+            (
+                "companion-commutes-rotation",
+                same(apply(_companion_of_oriented, rot), apply(rotate, comp)),
+            ),
+            ("reversal-companion-square", same(square, rot)),
+            ("omega-is-rotation-then-reversal", same(om, apply(reversal, rot))),
+            ("omega-is-reversal-then-rotation", same(om, apply(rotate, rev))),
+            ("rho-involution", same(apply(rho, apply(rho, t)), t)),
+            ("reversal-involution", same(apply(reversal, rev), t)),
+            ("omega-involution", same(apply(omega, om), t)),
         )
-        x4 = reversal(x3)
-        return content_key(x4) == content_key(rotate(t))
-
-    run("reversal-companion-square", square)
-    run(
-        "omega-is-rotation-then-reversal",
-        lambda: content_key(omega(t)) == content_key(reversal(rotate(t))),
     )
-    run(
-        "omega-is-reversal-then-rotation",
-        lambda: content_key(omega(t)) == content_key(rotate(reversal(t))),
-    )
-    return DiagramReport(tuple(checks))

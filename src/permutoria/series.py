@@ -101,9 +101,6 @@ class MultiSeries:
                 out[m] = out.get(m, 0) + u * v
         return MultiSeries(self.orders, out)
 
-    def scale(self, k: int) -> "MultiSeries":
-        return MultiSeries(self.orders, {m: k * c for m, c in self.coeffs.items()})
-
     def __pow__(self, exponent: int) -> "MultiSeries":
         if exponent < 0:
             return MultiSeries.constant(1, self.orders) / (self**-exponent)

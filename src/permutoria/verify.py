@@ -848,7 +848,9 @@ def suite_p3_sliding(scale: Scale) -> SuiteReport:
 
 
 def suite_p3_rsk(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P3-sec4", "matrices 3x3 entries<=2; dominant universe 3x3/2")
+    rep = SuiteReport(
+        "P3-sec4", "matrices 3x3 entries<=2; dominant universe 3x3/2; ssyt universe 3x3/3"
+    )
     ok_t = ok_rot = ok_inv = True
     for entries in itertools.product(range(3), repeat=9):
         m = (entries[0:3], entries[3:6], entries[6:9])
@@ -868,12 +870,15 @@ def suite_p3_rsk(scale: Scale) -> SuiteReport:
     rep.check(ok_t, "transposition swaps the output pair (19683 matrices)")
     rep.check(ok_rot, "rotation conjugates by weight reversal")
     rep.check(ok_inv, "reverse bumping inverts the correspondence")
-    ok_suite = ok_back = True
+    ok_suite = ok_back = ok_swap = True
     count = 0
     for t, nu, kap in dominant_universe(3, 3, 2, 3):
         m = tb.recording_matrix(t)
         p_, q_ = iv.rsk_matrix(tuple(reversed(m)))
         p, q = iv.rsk_tableau(t, nu, kap)
+        pt, qt = iv.rsk_tableau(tb.companion(t, nu, kap), t.outer, t.inner)
+        if iv.content_key(pt) != iv.content_key(q) or iv.content_key(qt) != iv.content_key(p):
+            ok_swap = False
         if iv.content_key(p) != iv.content_key(p_) or iv.content_key(p) != iv.content_key(iv.jdt(t)):
             ok_suite = False
         if iv.content_key(q_) != iv.content_key(iv.schuetzenberger(q)):
@@ -891,6 +896,7 @@ def suite_p3_rsk(scale: Scale) -> SuiteReport:
         count += 1
     rep.check(ok_suite, f"sliding/rotation/companion identity suite ({count} tableaux)")
     rep.check(ok_back, "switching-based inverse recovers the tableau")
+    rep.check(ok_swap, "companion swaps the insertion and recording tableaux")
     # reversal laws
     ok_chi = ok_indep = True
     import random as rnd
@@ -946,7 +952,7 @@ def suite_p3_rsk(scale: Scale) -> SuiteReport:
 
 
 def suite_p3_rho(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P3-sec5", "LR universe 3x3, letters <= 3")
+    rep = SuiteReport("P3-sec5", "LR universe 3x3, letters <= 3; recording matrices 4x4/2")
     ok_rho = ok_lemma51 = ok_53 = ok_55 = ok_57 = ok_510 = ok_511 = ok_515 = True
     count = 0
     for t in lr_universe(3, 3, 3):
@@ -975,7 +981,7 @@ def suite_p3_rho(scale: Scale) -> SuiteReport:
     rep.check(ok_515, "big involution equals reversal of the rotation, squares to one")
     # equal recording matrices rectify together; rsk separates points
     seen: dict[tuple, tb.SkewTableau] = {}
-    for t in ssyt_universe(3, 3, 2):
+    for t in ssyt_universe(4, 4, 2):
         key = (t.outer, tb.recording_matrix(t))
         if key in seen:
             if not iv.jdt_equivalent(seen[key], t):
@@ -1038,7 +1044,7 @@ def suite_p3_diagram(scale: Scale) -> SuiteReport:
                 failures += 1
                 if first is None:
                     first = f"{x.pretty()} -> {report.failures()}"
-    rep.check(failures == 0, f"all commutation checks on {count} oriented tableaux")
+    rep.check(failures == 0, f"all commutation and involution checks on {count} oriented tableaux")
     if first:
         rep.note(first)
     return rep

@@ -208,19 +208,6 @@ class TestTableauRSK:
             assert key not in seen or ck(seen[key]) == ck(t)
             seen[key] = t
 
-    def test_transformation_laws(self):
-        for t, nu, kap in dominant_universe(3, 3, 2, 3):
-            p, q = iv.rsk_tableau(t, nu, kap)
-            pt, qt = iv.rsk_tableau(tb.companion(t, nu, kap), t.outer, t.inner)
-            assert ck(pt) == ck(q) and ck(qt) == ck(p)
-            comp_out = tb.complement_in_box(kap, t.letters, t.box2[1])
-            comp_in = tb.complement_in_box(nu, t.letters, t.box2[1])
-            pr, qr = iv.rsk_tableau(tb.rotate(t), comp_out, comp_in)
-            assert ck(pr) == ck(iv.schuetzenberger(p))
-            assert ck(qr) == ck(iv.schuetzenberger(q))
-            pc, qc = iv.rsk_tableau(iv.reversal(t), comp_out, comp_in)
-            assert ck(pc) == ck(iv.schuetzenberger(p)) and ck(qc) == ck(q)
-
 
 class TestReversal:
     def test_partition_case_is_evacuation(self):
@@ -293,6 +280,34 @@ class TestRhoOmega:
         t = tb.make_tableau([[2], [1, 3]], inner=(1,), box2=(3, 2), orientation="lr")
         report = iv.verify_diagram(t)
         assert not report.passed
+
+    def test_diagram_applies_each_map_once_per_input(self, monkeypatch):
+        # only calls made by verify_diagram count, not omega's own rotations
+        inputs = {"rho": [], "reversal": [], "omega": [], "rotate": []}
+        depth = [0]
+
+        def counted(name, fn):
+            def wrapper(x):
+                if not depth[0]:
+                    inputs[name].append(x)
+                depth[0] += 1
+                try:
+                    return fn(x)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        for name in inputs:
+            monkeypatch.setattr(iv, name, counted(name, getattr(iv, name)))
+        t = tb.make_tableau([[1], [1, 2]], inner=(1,), box1=(3, 3), box2=(2, 2), orientation="lr")
+        report = iv.verify_diagram(t)
+        assert report.passed and len(report.checks) == 9
+        assert {name: len(xs) for name, xs in inputs.items()} == {
+            "rho": 4, "reversal": 7, "omega": 2, "rotate": 6,
+        }
+        for xs in inputs.values():
+            assert len(set(xs)) == len(xs)
 
 
 class TestCoefficients:
