@@ -16,9 +16,9 @@ from . import counting as ct
 from . import gengraph as gg
 from . import involutions as iv
 from . import tableau as tb
-from .errors import PermutoriaError
+from .errors import LimitExceeded, PermutoriaError
 from .kernels import engine_name
-from .limits import DEFAULT_LIMITS
+from .limits import DEFAULT_LIMITS, enforce
 from .permcore import PatternSet
 from .series import RationalExpr, expand_rational, series_from_cells
 from .verify import CONJECTURE_SUITES, SUITES, Scale, run_suite
@@ -45,6 +45,10 @@ def _parse_orders(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(
             f"expected one to three integer orders x,y,z >= 0, got {text!r}"
         )
+    try:
+        enforce(DEFAULT_LIMITS, "series_order", "order", max(parts))
+    except LimitExceeded as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return tuple(parts + [0] * (3 - len(parts)))  # type: ignore[return-value]
 
 
@@ -69,8 +73,11 @@ def _parse_formula(text: str) -> RationalExpr:
 
 
 def _parse_tail(text: str) -> tuple[int, ...]:
-    if text and not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected digits, e.g. 34, got {text!r}")
+    """The tail tau of the patterns 12tau and 21tau: a permutation of 3..m."""
+    if sorted(text) != [str(k) for k in range(3, len(text) + 3)]:
+        raise argparse.ArgumentTypeError(
+            f"expected a permutation of 3..m as digits, e.g. 34 or 534, got {text!r}"
+        )
     return tuple(int(ch) for ch in text)
 
 

@@ -179,6 +179,12 @@ def _with_rows(t: SkewTableau, rows: tuple) -> SkewTableau:
     return SkewTableau._trusted(t.outer, t.inner, rows, t.box1, t.box2, t.orientation)
 
 
+def _with_orientation(t: SkewTableau, orientation: str | None) -> SkewTableau:
+    """Same tableau on another branch; validation reads no orientation, so
+    it is not run again."""
+    return SkewTableau._trusted(t.outer, t.inner, t.rows, t.box1, t.box2, orientation)
+
+
 BKWord = tuple[int, ...]
 
 
@@ -511,13 +517,13 @@ def reversal_with(t: SkewTableau, s: SkewTableau) -> SkewTableau:
     s2, t2 = tableau_switch(u, s1)
     if content_key(s2) != content_key(s):
         raise CanonicalAssertFailed("switching did not return the helper tableau")
-    return replace(t2, orientation=FLIP_ORIENTATION[t.orientation])
+    return _with_orientation(t2, FLIP_ORIENTATION[t.orientation])
 
 
 def reversal(t: SkewTableau) -> SkewTableau:
     """Weight-reversing involution on arbitrary skew tableaux."""
     if not t.inner:
-        return replace(schuetzenberger(t), orientation=FLIP_ORIENTATION[t.orientation])
+        return _with_orientation(schuetzenberger(t), FLIP_ORIENTATION[t.orientation])
     return reversal_with(t, canonical(t.inner))
 
 
@@ -555,7 +561,7 @@ def _symmetry_map(t: SkewTableau, dual: bool) -> SkewTableau:
     helper = anti_canonical if lr == dual else canonical
     first, second = tableau_switch(helper(t.inner), t)
     (_assert_canonical if lr else _assert_anti_canonical)(first)
-    return replace(second, orientation=FLIP_ORIENTATION[t.orientation]) if dual else second
+    return _with_orientation(second, FLIP_ORIENTATION[t.orientation]) if dual else second
 
 
 def rho(t: SkewTableau) -> SkewTableau:
@@ -579,10 +585,10 @@ def rsk_tableau_inverse(p: SkewTableau, q: SkewTableau, shape_outer: Partition, 
     if p.outer != q.outer or p.inner or q.inner:
         raise ShapeMismatch("need partition tableaux of equal shape")
     tau_q = companion(q, shape_outer, shape_inner)
-    moved = rho(replace(tau_q, orientation="lr"))
+    moved = rho(_with_orientation(tau_q, "lr"))
     first, second = tableau_switch(p, moved)
     _assert_canonical(first)
-    return replace(second, orientation=None)
+    return _with_orientation(second, None)
 
 
 # ---------------------------------------------------------------------------

@@ -155,9 +155,6 @@ class PatternSet:
     def complement(self) -> "PatternSet":
         return PatternSet([complement(p) for p in self.patterns])
 
-    def min_size(self) -> int:
-        return min(len(p) for p in self.patterns)
-
     def __iter__(self):
         return iter(self.patterns)
 

@@ -44,12 +44,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return len(inner) <= len(outer) and all(m <= l for m, l in zip(padded, outer))
 
 
-def conjugate(parts: Partition) -> Partition:
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
-
-
 def complement_in_box(parts: Partition, rows: int, cols: int) -> Partition:
     """The 180-degree complement of a partition inside a rows x cols box."""
     if len(parts) > rows or (parts and parts[0] > cols):
@@ -156,17 +150,19 @@ class SkewTableau:
         box2: tuple[int, int],
         orientation: str | None,
     ) -> "SkewTableau":
-        """Build without validation, for the word-route maps and rotation,
-        whose output is valid by construction; the tests check those outputs
-        against the sliding routes, the recording-matrix route and the
-        validating constructor."""
+        """Build without validation, for output that is valid by
+        construction: the word-route maps, rotation, orientation changes,
+        canonical tableaux and the enumerators.  The tests check those
+        outputs against the sliding routes, the recording-matrix route, brute
+        force and the validating constructor."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "outer", outer)
-        object.__setattr__(obj, "inner", inner)
-        object.__setattr__(obj, "rows", rows)
-        object.__setattr__(obj, "box1", box1)
-        object.__setattr__(obj, "box2", box2)
-        object.__setattr__(obj, "orientation", orientation)
+        set_ = object.__setattr__
+        set_(obj, "outer", outer)
+        set_(obj, "inner", inner)
+        set_(obj, "rows", rows)
+        set_(obj, "box1", box1)
+        set_(obj, "box2", box2)
+        set_(obj, "orientation", orientation)
         return obj
 
     # -- basics ---------------------------------------------------------------
@@ -411,6 +407,20 @@ def rotate(t: SkewTableau) -> SkewTableau:
 # canonical tableaux
 
 
+def _fits(
+    outer: Partition, inner: Partition, box1: tuple[int, int], box2: tuple[int, int], top: int
+) -> bool:
+    """Whether every filling of outer/inner with letters 1..top passes the
+    shape, box and letter-bound checks of the constructor; its callers
+    build rows and columns that pass the rest by construction."""
+    return (
+        contains(outer, inner)
+        and len(outer) <= box1[0]
+        and (not outer or outer[0] <= box1[1])
+        and top <= box2[0]
+    )
+
+
 def canonical(
     shape: Partition,
     box1: tuple[int, int] | None = None,
@@ -425,11 +435,39 @@ def canonical(
         box1 = (len(shape), shape[0] if shape else 0)
     if box2 is None:
         box2 = (len(shape), shape[0] if shape else 0)
-    return SkewTableau(shape, (), rows, box1, box2, orientation)
+    build = SkewTableau._trusted if _fits(shape, (), box1, box2, len(shape)) else SkewTableau
+    return build(shape, (), rows, box1, box2, orientation)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+def _rows_over(
+    bounds: Sequence[int], top: int, left: list[int] | None
+) -> Iterator[tuple[int, ...]]:
+    """Weakly increasing rows with entry k at least bounds[k] and at most
+    top, lexicographic.  With ``left``, a row holds at most left[v-1] copies
+    of v, and ``left`` is reduced by the row while it is yielded."""
+    row: list[int] = []
+    last = len(bounds)
+
+    def fill(k: int, lo: int) -> Iterator[tuple[int, ...]]:
+        if k == last:
+            yield tuple(row)
+            return
+        for v in range(max(lo, bounds[k]), top + 1):
+            if left is not None:
+                if not left[v - 1]:
+                    continue
+                left[v - 1] -= 1
+            row.append(v)
+            yield from fill(k + 1, v)
+            row.pop()
+            if left is not None:
+                left[v - 1] += 1
+
+    return fill(0, 1)
 
 
 def enumerate_ssyt(
@@ -442,7 +480,13 @@ def enumerate_ssyt(
 ) -> Iterator[SkewTableau]:
     """All semistandard fillings of outer/inner, deterministic order.
 
-    Either a letter bound or a fixed weight vector must be given.
+    Either a letter bound or a weight vector must be given; the weight caps
+    the number of copies of each letter.  The filling is chosen a row at a
+    time, top to bottom: a row is weakly increasing, and each entry exceeds
+    the one above it, so the fillings come out lexicographic in the rows.
+    The fillings of the rows below a given row (with given letters left) are
+    listed once and shared by every filling above it, and the candidates for
+    a row under given lower bounds once per call.
     """
     outer = normalize(outer)
     inner = normalize(inner)
@@ -450,38 +494,46 @@ def enumerate_ssyt(
         max_letter = len(weight)
     if max_letter <= 0 and sum(outer) > sum(inner):
         raise ValueError("a letter bound or weight is required")
-    pad_inner = inner + (0,) * (len(outer) - len(inner))
-    cells = []
-    for i in range(len(outer)):
-        for c in range(pad_inner[i], outer[i]):
-            cells.append((i, c))
-    grid: Grid = {}
-    remaining = list(weight) if weight is not None else None
+    pad = inner + (0,) * (len(outer) - len(inner))
     b1 = box1 or (len(outer), outer[0] if outer else 0)
     b2 = box2 or (max_letter, max(sum(outer) - sum(inner), 1))
+    start = tuple(weight) if weight is not None else None
+    top = max_letter if start is None else min(max_letter, len(start))
+    build = SkewTableau._trusted if _fits(outer, inner, b1, b2, top) else SkewTableau
+    last = len(outer) - 1
+    by_bounds: dict[tuple[int, ...], list] = {}  # options without a weight
+    memo: dict[tuple, list[tuple]] = {}
 
-    def rec(idx: int) -> Iterator[SkewTableau]:
-        if idx == len(cells):
-            yield SkewTableau(outer, inner, grid_rows(grid, outer, inner), b1, b2)
-            return
-        i, c = cells[idx]
-        lo = 1
-        if (i, c - 1) in grid:
-            lo = max(lo, grid[(i, c - 1)])
-        if (i - 1, c) in grid:
-            lo = max(lo, grid[(i - 1, c)] + 1)
-        for v in range(lo, max_letter + 1):
-            if remaining is not None:
-                if v > len(remaining) or remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            grid[(i, c)] = v
-            yield from rec(idx + 1)
-            del grid[(i, c)]
-            if remaining is not None:
-                remaining[v - 1] += 1
+    def options(i: int, above: tuple[int, ...], left: tuple[int, ...] | None) -> list:
+        """(row i, letters left after it) for each row i can hold under above."""
+        off = pad[i - 1] if i else outer[0]  # the first row has nothing above
+        bounds = tuple(above[c - off] + 1 if c >= off else 1 for c in range(pad[i], outer[i]))
+        if left is not None:
+            counts = list(left)
+            return [(row, tuple(counts)) for row in _rows_over(bounds, top, counts)]
+        if bounds not in by_bounds:
+            by_bounds[bounds] = [(row, None) for row in _rows_over(bounds, top, None)]
+        return by_bounds[bounds]
 
-    return rec(0)
+    def below(i: int, above: tuple[int, ...], left: tuple[int, ...] | None) -> list[tuple]:
+        """Every filling of rows i..last under above, as a tuple of rows."""
+        key = (i, above, left)
+        if key not in memo:
+            if i > last:
+                memo[key] = [()]
+            else:
+                memo[key] = [
+                    (row,) + rest
+                    for row, rest_left in options(i, above, left)
+                    for rest in below(i + 1, row, rest_left)
+                ]
+        return memo[key]
+
+    def fillings() -> Iterator[SkewTableau]:
+        for rows in below(0, (), start):
+            yield build(outer, inner, rows, b1, b2, None)
+
+    return fillings()
 
 
 def enumerate_lr(
@@ -511,10 +563,11 @@ def enumerate_lr(
     prefix = [0] * (len(weight) + 1)
     b1 = box1 or (len(outer), outer[0] if outer else 0)
     b2 = box2 or (len(weight), weight[0] if weight else 0)
+    build = SkewTableau._trusted if _fits(outer, inner, b1, b2, len(weight)) else SkewTableau
 
     def rec(idx: int) -> Iterator[SkewTableau]:
         if idx == len(cells):
-            yield SkewTableau(outer, inner, grid_rows(grid, outer, inner), b1, b2, orientation="lr")
+            yield build(outer, inner, grid_rows(grid, outer, inner), b1, b2, "lr")
             return
         i, c = cells[idx]
         lo, hi = 1, len(weight)

@@ -133,7 +133,7 @@ def dominant_universe(R: int, C: int, N: int, W: int):
 
 
 def suite_intro_wilf(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("intro-wilf-classes", "n<=10")
+    rep = SuiteReport("intro-wilf", "n<=10")
     for pat in ("123", "132", "213", "231", "312", "321"):
         ps = PatternSet.parse(pat)
         ok = all(ct.count_avoiders(n, ps, LIMITS) == ct.catalan(n) for n in range(11))
@@ -209,7 +209,7 @@ def suite_intro_thm27(scale: Scale) -> SuiteReport:
 
 
 def suite_intro_schur(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("intro-schur-product", "|mu|,|nu|<=4, 4 variables")
+    rep = SuiteReport("intro-schur", "|mu|,|nu|<=4, 4 variables")
     sizes = range(1, 5)
     for a in sizes:
         for b in sizes:
@@ -264,7 +264,7 @@ def suite_p1_prop31(scale: Scale) -> SuiteReport:
 
 
 def suite_p1_sec4(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-sec4-2413", "2n<=12")
+    rep = SuiteReport("P1-sec4", "2n<=12")
     p2413 = PatternSet.parse("2413")
     p3142 = PatternSet.parse("3142")
     for n in range(1, 13):
@@ -301,7 +301,7 @@ def suite_p1_sec4(scale: Scale) -> SuiteReport:
 
 
 def suite_p1_sec5(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-sec5-phi", "n<=7 tableaux laws; n<=5 bijection")
+    rep = SuiteReport("P1-sec5", "n<=7 tableaux laws; n<=5 bijection")
     p1234 = PatternSet.parse("1234")
     for n in range(1, 8):
         ok_lemma = ok_sig = ok_alt = True
@@ -357,7 +357,7 @@ def suite_p1_sec5(scale: Scale) -> SuiteReport:
 
 
 def suite_p1_sec6(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P1-sec6-psi", "n<=10")
+    rep = SuiteReport("P1-sec6", "n<=10")
     fig_sigma = (1, 11, 7, 9, 5, 12, 8, 10, 3, 4, 2, 6)
     region = bj.active_region(fig_sigma, (3, 4))
     rep.check(
@@ -452,7 +452,7 @@ def _conjecture_suite(name: str) -> Callable[[Scale], SuiteReport]:
 
 
 def suite_p2_trees(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P2-trees-graphs", "depths 6-8")
+    rep = SuiteReport("P2-trees", "depths 6-8")
     t = gg.build_tree(PatternSet.parse("123"), "standard", 5, LIMITS)
     rep.check(gg.level_sizes(t) == [1, 1, 2, 5, 14, 42], "level sizes for the Catalan family")
     fib = PatternSet.parse("213,4123")
@@ -586,7 +586,7 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
 
 
 def suite_p2_formulas(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P2-formula-audit", "d<=8, c,r<=6, total<=8")
+    rep = SuiteReport("P2-formulas", "d<=8, c,r<=6, total<=8")
     orders = (8, 6, 6)
     for ps, formulas_list in fm.FORMULAS.items():
         cells = ct.extended_table(ps, 8, LIMITS)
@@ -1051,7 +1051,7 @@ def suite_p3_diagram(scale: Scale) -> SuiteReport:
 
 
 def suite_p3_lr(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P3-lr-coefficients", "|lambda|<=8")
+    rep = SuiteReport("P3-lr", "|lambda|<=8")
     ok_sym = ok_bij = True
     for n in range(1, 9):
         for lam in tb.partitions_of(n):

@@ -6,17 +6,20 @@ passes; a failure names the suite and its first counterexample.  c10 runs
 four suites, then states the involution laws that no suite checks on 4x4
 boxes.  ``test_suite_passes`` runs the suites that no criterion names, so
 tier-1 runs every suite, and c10's suites, so each has a test id of its own
-(the report is shared, so they run once).
+(the report is shared, so they run once).  The last test reads the
+``verify all --format json`` lines of those same reports.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion with its runtime.
 """
 
 import functools
+import json
 import time
 
 import pytest
 
+from permutoria import cli
 from permutoria import involutions as iv
 from permutoria import tableau as tb
 from permutoria import verify
@@ -201,3 +204,17 @@ def test_suite_passes(name):
 def test_every_suite_runs_in_tier1():
     named = {name for suites in CRITERION_SUITES.values() for name in suites}
     assert named | set(UNNAMED_SUITES) == set(verify.SUITES)
+
+
+def test_verify_all_names_round_trip(monkeypatch, capsys):
+    """Each ``verify all --format json`` line names the suite it ran, so the
+    name works as ``verify <name>``."""
+
+    def cached_run_suite(name, scale):
+        assert scale == verify.Scale()
+        return suite_report(name)
+
+    monkeypatch.setattr(cli, "run_suite", cached_run_suite)
+    assert cli.main(["verify", "all", "--format", "json"]) == 0
+    names = [json.loads(line)["suite"] for line in capsys.readouterr().out.splitlines()]
+    assert names == sorted(verify.SUITES)

@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_child(*argv, **env):
+    """Run ``python -m <argv>`` on this checkout's package, with env added."""
+    src = str(Path(permutoria.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
+        env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
 class TestCount:
     def test_da_catalan(self, capsys):
         code, out = run(capsys, "count", "--da", "--patterns", "2413", "--n", "10")
@@ -154,20 +165,13 @@ class TestVerify:
         assert "P2-appendixA" not in ran and "P2-formulas" in ran
 
     def test_alias_runs_its_suite(self, monkeypatch):
-        stub = verify.SuiteReport("P2-formula-audit", "stub", passed=1)
+        stub = verify.SuiteReport("P2-formulas", "stub", passed=1)
         monkeypatch.setitem(verify.SUITES, "P2-formulas", lambda scale: stub)
         assert verify.run_suite("P2-appendixA") is stub
 
     def test_suites_ignore_the_environment_cap(self):
-        src = str(Path(permutoria.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "PERMUTORIA_LIMITS": "da=10"}
-
         def verify_in_child(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "permutoria.cli", "verify", *argv],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
+            return run_child("permutoria.cli", "verify", *argv, PERMUTORIA_LIMITS="da=10")
 
         prop81 = verify_in_child("P1-prop8.1", "--format", "json")
         report = json.loads(prop81.stdout)
@@ -198,6 +202,9 @@ class TestVerify:
         ["series", "--formula", "1/(1-x)", "--orders", "3,0,0", "--total", "-1"],
         ["count", "--patterns", "123", "--dcr=-1,0,0"],
         ["series", "--formula", "1/(1-x)", "--orders=-3,0,0"],
+        ["series", "--formula", "1/(1-x)", "--orders", "100000,0,0", "--total", "5"],
+        ["biject", "--name", "psi", "--n", "4", "--tau", "5"],
+        ["biject", "--name", "psi", "--n", "4", "--tau", "99"],
     ],
     ids=[
         "tau", "box", "json", "json-key", "dcr", "orders",
@@ -206,6 +213,7 @@ class TestVerify:
         "n-negative", "biject-n-negative", "validate-negative",
         "letters-zero", "box-zero",
         "total-negative", "dcr-negative", "orders-negative",
+        "orders-above-limit", "tau-not-from-3", "tau-repeated",
     ],
 )
 def test_malformed_input_is_one_line(capsys, argv):
@@ -214,6 +222,12 @@ def test_malformed_input_is_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and "error: argument --" in captured.err
+
+
+def test_module_entry_point():
+    proc = run_child("permutoria", "verify", "P3-sec2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("== P3-sec2 ")
 
 
 def test_version(capsys):

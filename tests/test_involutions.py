@@ -1,6 +1,9 @@
 import itertools
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permutoria import involutions as iv
 from permutoria import tableau as tb
@@ -17,6 +20,9 @@ ck = iv.content_key
 
 def small_universe():
     return list(ssyt_universe(3, 3, 3))
+
+
+LR_SMALL = list(lr_universe(3, 3, 3))
 
 
 class TestJdt:
@@ -225,6 +231,27 @@ class TestReversal:
             base = iv.reversal(t)
             for s in helpers[:2]:
                 assert ck(iv.reversal_with(t, s)) == ck(base)
+
+
+class TestOrientationFlips:
+    """The maps that only change a tableau's branch build it unvalidated."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([*ssyt_universe(2, 2, 2), *LR_SMALL]),
+        st.sampled_from([None, "lr", "anti"]),
+    )
+    def test_trusted_flip_equals_replace(self, t, orientation):
+        flipped = iv._with_orientation(t, orientation)
+        expected = replace(t, orientation=orientation)  # runs the validation
+        for f in fields(tb.SkewTableau):
+            assert getattr(flipped, f.name) == getattr(expected, f.name)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(LR_SMALL))
+    def test_flipped_outputs_pass_validation(self, t):
+        for out in (iv.reversal(t), iv.rho_dual(t), iv.reversal(iv.rho_dual(t))):
+            assert replace(out) == out
 
 
 class TestEquivalences:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from permutoria import tableau as tb
@@ -6,10 +8,6 @@ from permutoria.verify import lr_universe, ssyt_universe
 
 
 class TestPartitions:
-    def test_conjugate(self):
-        assert tb.conjugate((4, 2, 1)) == (3, 2, 1, 1)
-        assert tb.conjugate(tb.conjugate((5, 3, 3, 1))) == (5, 3, 3, 1)
-
     def test_complement(self):
         assert tb.complement_in_box((2, 1), 3, 3) == (3, 2, 1)
         assert tb.complement_in_box((), 2, 2) == (2, 2)
@@ -189,6 +187,62 @@ class TestEnumeration:
     def test_fixed_weight(self):
         fillings = list(tb.enumerate_ssyt((2, 2), weight=(2, 2)))
         assert len(fillings) == 1 and fillings[0].rows == ((1, 1), (2, 2))
+
+    def test_universe_sizes(self):
+        assert sum(1 for _ in ssyt_universe(4, 4, 4)) == 137861
+        assert sum(1 for _ in lr_universe(4, 4, 4)) == 3593
+
+    def test_outputs_pass_the_validating_constructor(self):
+        for t in [*ssyt_universe(3, 3, 3), *lr_universe(3, 3, 3)]:
+            again = tb.SkewTableau(t.outer, t.inner, t.rows, t.box1, t.box2, t.orientation)
+            assert again == t
+
+    @staticmethod
+    def brute_force(outer, inner, letters, cap=None):
+        """Every filling by letters 1..letters in lexicographic order, kept
+        when the validating constructor accepts it and no letter occurs more
+        often than cap allows."""
+        pad = inner + (0,) * (len(outer) - len(inner))
+        lengths = [o - p for o, p in zip(outer, pad)]
+        out = []
+        for flat in itertools.product(range(1, letters + 1), repeat=sum(lengths)):
+            it = iter(flat)
+            rows = tuple(tuple(itertools.islice(it, n)) for n in lengths)
+            try:
+                t = tb.SkewTableau(outer, inner, rows, (3, 3), (letters, 9))
+            except NotATableau:
+                continue
+            if cap is None or all(a <= b for a, b in zip(t.weight(), cap)):
+                out.append(t)
+        return out
+
+    def test_matches_brute_force(self):
+        shapes = tb.partitions_in_box(3, 3)
+        pairs = [
+            (lam, mu)
+            for lam in shapes
+            for mu in shapes
+            if tb.contains(lam, mu) and sum(lam) - sum(mu) <= 5
+        ]
+        for lam, mu in pairs:
+            for letters in (1, 2, 3):
+                got = list(tb.enumerate_ssyt(lam, mu, letters, box1=(3, 3), box2=(letters, 9)))
+                assert got == self.brute_force(lam, mu, letters), (lam, mu, letters)
+            n = sum(lam) - sum(mu)
+            # exact weights, and weights that only cap each letter
+            for cap in {(n,), (n - n // 2, n // 2), (1,) * n, (0, n, 0), (2, 2, 2), (3, 1)}:
+                got = list(tb.enumerate_ssyt(lam, mu, weight=cap, box1=(3, 3), box2=(len(cap), 9)))
+                assert got == self.brute_force(lam, mu, len(cap), cap), (lam, mu, cap)
+
+    def test_boxes_too_small_still_raise(self):
+        with pytest.raises(NotATableau):
+            list(tb.enumerate_ssyt((2, 1), max_letter=3, box1=(1, 2)))
+        with pytest.raises(NotATableau):
+            list(tb.enumerate_ssyt((2, 1), max_letter=3, box2=(2, 4)))
+        with pytest.raises(NotATableau):
+            list(tb.enumerate_lr((2, 1), (1,), (1, 1), box2=(1, 2)))
+        with pytest.raises(NotATableau):
+            tb.canonical((2, 1, 1), box2=(2, 2))
 
 
 class TestSerialization:
