@@ -112,6 +112,8 @@ def cmd_count(args) -> int:
     patterns = args.patterns
     rows: list[tuple[str, int]] = []
     if args.sequence:
+        # the terms are the x-coefficients of series that series_order caps
+        enforce(limits, "series_order", "n", args.n)
         ns = range(args.n + 1) if args.upto else [args.n]
         for n in ns:
             rows.append((str(n), ct.sequence(args.sequence, n)))

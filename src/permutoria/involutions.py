@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import (
@@ -188,6 +190,7 @@ def _with_orientation(t: SkewTableau, orientation: str | None) -> SkewTableau:
 BKWord = tuple[int, ...]
 
 
+@cache
 def zm_word(m: int) -> BKWord:
     """Weight-reversing word; generators in application order."""
     out: list[int] = []
@@ -196,6 +199,7 @@ def zm_word(m: int) -> BKWord:
     return tuple(out)
 
 
+@cache
 def t_word(k: int, l: int, d: int = 0) -> BKWord:
     """Block-exchange word moving k letters past l letters, offset by d."""
     out: list[int] = []
@@ -211,7 +215,14 @@ def t_word(k: int, l: int, d: int = 0) -> BKWord:
 
 
 def _cuts(rows: Sequence[Sequence[int]], pad: Sequence[int], letters: int) -> list[list[int]]:
-    return [[p + bisect_right(row, v) for row, p in zip(rows, pad)] for v in range(letters + 1)]
+    """One scan per row counts its letters; their running sums from its pad are its cuts."""
+    per_row = []
+    for row, p in zip(rows, pad):
+        counts = [p] + [0] * letters
+        for v in row:
+            counts[v] += 1
+        per_row.append(accumulate(counts))
+    return [list(col) for col in zip(*per_row)] or [[] for _ in range(letters + 1)]
 
 
 def _rows_from_cuts(cuts: list[list[int]], first: int, last: int) -> tuple:
@@ -264,14 +275,15 @@ def apply_bk_word(t: SkewTableau, word: BKWord) -> SkewTableau:
     Runs the whole word on the cut form of the rows; equal to folding
     ``bender_knuth`` over the word.
     """
+    letters = t.letters
     for g in word:
-        if not 1 <= g < t.letters:
-            raise ValueError(f"generator {g} outside letter bound {t.letters}")
+        if not 1 <= g < letters:
+            raise ValueError(f"generator {g} outside letter bound {letters}")
     if not word:
         return t
-    cuts = _cuts(t.rows, t.padded_inner(), t.letters)
+    cuts = _cuts(t.rows, t.padded_inner(), letters)
     _bk_cuts(cuts, word)
-    return _with_rows(t, _rows_from_cuts(cuts, 1, t.letters))
+    return _with_rows(t, _rows_from_cuts(cuts, 1, letters))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bijections as bj
 from . import counting as ct
@@ -128,6 +128,11 @@ def dominant_universe(R: int, C: int, N: int, W: int):
                     yield t, nu, kap
 
 
+def _cube_series(cells: dict[tuple[int, int, int], int], total: int) -> MultiSeries:
+    """A table with d+c+r <= total as a series that truncates none of it."""
+    return series_from_cells(cells, (total, total, total))
+
+
 # ---------------------------------------------------------------------------
 # introduction
 
@@ -203,7 +208,7 @@ def suite_intro_thm27(scale: Scale) -> SuiteReport:
     # table is one of the six
     for pat, table in tables.items():
         inv = tables[str(PatternSet.parse(pat).inverse())]
-        ok = all(inv.get((d, r, c), 0) == count for (d, c, r), count in table.items())
+        ok = _cube_series(inv, 8) == _cube_series(table, 8).swap_yz()
         rep.check(ok, f"inverse-transpose law for {pat}")
     return rep
 
@@ -518,13 +523,7 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
         ps = PatternSet.parse(pat)
         table = ct.extended_table(ps, total, LIMITS)
         inv_table = ct.extended_table(ps.inverse(), total, LIMITS)
-        ok = all(
-            table.get((d, c, r), 0) == inv_table.get((d, r, c), 0)
-            for d in range(total + 1)
-            for c in range(total + 1)
-            for r in range(total + 1)
-            if d + c + r <= total
-        )
+        ok = _cube_series(table, total).swap_yz() == _cube_series(inv_table, total)
         rep.check(ok, f"transpose symmetry for {pat}")
     # active sites are r-active, and without empty rows r-active sites are
     # active (children_with_kinds relies on it); bottom-site activity implies
@@ -600,10 +599,7 @@ def suite_p2_formulas(scale: Scale) -> SuiteReport:
             )
             rep.check(ok, f"Ext formula {idx + 1} for {{{ps}}}")
     for ps in fm.EXTENDABLY_SYMMETRIC:
-        cells = ct.extended_table(ps, 7, LIMITS)
-        ok = all(
-            cells.get((d, c, r), 0) == cells.get((d, r, c), 0) for (d, c, r) in cells
-        )
+        ok = _cube_series(ct.extended_table(ps, 7, LIMITS), 7).is_yz_symmetric()
         rep.check(ok, f"{{{ps}}} extendably symmetric")
     return rep
 
@@ -654,11 +650,7 @@ def suite_p2_pair_table(scale: Scale) -> SuiteReport:
             rep.check(tables[str(ps)] == base, f"group {name}: {{{ps}}} matches")
         if name.endswith("-inv"):
             partner = fm.PAIR_TABLE_GROUPS[name[:-4]]
-            ok = all(
-                tables[str(group[0])].get((d, c, r), 0)
-                == tables[str(partner[0])].get((d, r, c), 0)
-                for (d, c, r) in set(tables[str(group[0])]) | set(tables[str(partner[0])])
-            )
+            ok = _cube_series(base, 6) == _cube_series(tables[str(partner[0])], 6).swap_yz()
             rep.check(ok, f"group {name} is the transpose of group {name[:-4]}")
     for name, group in fm.PAIR_TABLE_ORDINARY.items():
         base, other = group
@@ -672,178 +664,205 @@ def suite_p2_pair_table(scale: Scale) -> SuiteReport:
 
 # ---------------------------------------------------------------------------
 # P3 suites: tableau involutions
+#
+# Each tableau law is a predicate on one tableau or one stacked pair, stated
+# once; the suites check it over universes of the sizes their labels name.
+
+ck = iv.content_key
+Pair = tuple[tb.SkewTableau, tb.SkewTableau]
+
+
+def _check_laws(rep: SuiteReport, cases: Iterable, what: str, laws: dict[str, Callable]):
+    """One check per law, that it holds on every case, in one pass over the
+    cases; ``what`` names the universe and takes the number of cases."""
+    seen = 0
+    first: dict[str, object] = {}
+    for case in cases:
+        seen += 1
+        for label, law in laws.items():
+            if label not in first and not law(case):
+                first[label] = case
+    for label in laws:
+        witness = f"; fails at {first[label]!r}" if label in first else ""
+        rep.check(label not in first, f"{label} ({what.format(seen)}){witness}")
+
+
+def _words(t: tb.SkewTableau, *words: iv.BKWord) -> tb.SkewTableau:
+    """Apply the words one after another, one ``apply_bk_word`` call each."""
+    for word in words:
+        t = iv.apply_bk_word(t, word)
+    return t
+
+
+def _recording_round_trip(t: tb.SkewTableau) -> bool:
+    back = tb.tableau_from_recording(t.outer, t.inner, tb.recording_matrix(t), t.box1, t.box2)
+    return ck(back) == ck(t)
+
+
+def _lr_iff_dominant(t: tb.SkewTableau) -> bool:
+    """LR iff 0-dominant; a weight that is not a partition rules out both."""
+    w = t.weight()
+    if all(a >= b for a, b in zip(w, w[1:])):
+        return tb.is_lr(t) == tb.is_dominant(t, tb.normalize(w))
+    return not tb.is_lr(t)
+
+
+def _slide_order_free(t: tb.SkewTableau) -> bool:
+    base = ck(iv.jdt(t))
+    return all(ck(iv.jdt_random_order(t, seed)) == base for seed in (1, 2, 3))
+
+
+def _rotation_involutive(t: tb.SkewTableau) -> bool:
+    return ck(tb.rotate(tb.rotate(t))) == ck(t)
+
+
+def _bk_involutive(t: tb.SkewTableau) -> bool:
+    return all(ck(iv.bender_knuth(iv.bender_knuth(t, i), i)) == ck(t) for i in range(1, t.letters))
+
+
+def _bk_distant_commute(t: tb.SkewTableau) -> bool:
+    a = iv.bender_knuth(iv.bender_knuth(t, 1), 3)
+    return ck(a) == ck(iv.bender_knuth(iv.bender_knuth(t, 3), 1))
+
+
+def _zm_square(t: tb.SkewTableau) -> bool:
+    """On partition shapes this is the evacuation square."""
+    zw = iv.zm_word(t.letters)
+    return ck(_words(t, zw, zw)) == ck(t)
+
+
+def _t_cancel(t: tb.SkewTableau, k: int) -> bool:
+    l = t.letters - k
+    return ck(_words(t, iv.t_word(k, l), iv.t_word(l, k))) == ck(t)
+
+
+def _z_split(t: tb.SkewTableau, k: int) -> bool:
+    l = t.letters - k
+    right = _words(t, iv.zm_word(l), iv.t_word(l, k), iv.zm_word(k))
+    return ck(_words(t, iv.zm_word(t.letters))) == ck(right)
+
+
+def _t_split(t: tb.SkewTableau, l: int, k: int) -> bool:
+    m = t.letters - l - k
+    right = _words(t, iv.t_word(k, m, d=l), iv.t_word(l, m))
+    return ck(_words(t, iv.t_word(l + k, m))) == ck(right)
+
+
+def _stacked_pairs(box: int) -> Iterator[Pair]:
+    """Every pair (s, t) in a box x box square with t stacked on s, each
+    with two letters, except the pair of empty tableaux."""
+    shapes = tb.partitions_in_box(box, box)
+    fill = dict(max_letter=2, box1=(box, box), box2=(2, box))
+    for nu in shapes:
+        for mu in (mu for mu in shapes if tb.contains(nu, mu)):
+            ss = list(tb.enumerate_ssyt(nu, mu, **fill))
+            for lam in (lam for lam in shapes if tb.contains(lam, nu)):
+                ts = list(tb.enumerate_ssyt(lam, nu, **fill))
+                yield from ((s, t) for s in ss for t in ts if s.size() or t.size())
+
+
+def _switch_involutive(pair: Pair) -> bool:
+    back = iv.tableau_switch(*iv.tableau_switch(*pair))
+    return (ck(back[0]), ck(back[1])) == (ck(pair[0]), ck(pair[1]))
+
+
+def _switch_routes_agree(pair: Pair) -> bool:
+    a, b = iv.tableau_switch(*pair), iv.tableau_switch_sliding(*pair)
+    return (ck(a[0]), ck(a[1])) == (ck(b[0]), ck(b[1]))
+
+
+def _switch_rectifies(pair: Pair) -> bool:
+    """Switching past a nonempty straight s moves t to its rectification."""
+    s, t = pair
+    return bool(s.inner) or not s.size() or ck(iv.tableau_switch(s, t)[0]) == ck(iv.jdt(t))
 
 
 def suite_p3_companion(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P3-sec2", "boxes <= 3x3, letters <= 3")
-    count = 0
-    for t in ssyt_universe(3, 3, 3):
-        m = tb.recording_matrix(t)
-        back = tb.tableau_from_recording(t.outer, t.inner, m, t.box1, t.box2)
-        if iv.content_key(back) != iv.content_key(t):
-            rep.check(False, f"recording round trip at {t.pretty()}")
-        rot = tb.rotate(t)
-        if iv.content_key(tb.rotate(rot)) != iv.content_key(t):
-            rep.check(False, "rotation not involutive")
-        count += 1
-    rep.check(True, f"recording round trip and rotation involution on {count} tableaux")
+    _check_laws(rep, ssyt_universe(3, 3, 3), "3x3 box, 3 letters, {} tableaux", {
+        "recording round trip": _recording_round_trip,
+        "rotation is an involution": _rotation_involutive,
+        "Yamanouchi word iff partition-shaped companion": _lr_iff_dominant,
+    })
     dominated = 0
     ok27 = ok_tau2 = True
     for letters in (2, 3):
         for t, nu, kap in dominant_universe(3, 3, letters, 3):
             tau = tb.companion(t, nu, kap)
-            if iv.content_key(tb.companion(tau, t.outer, t.inner)) != iv.content_key(t):
+            if ck(tb.companion(tau, t.outer, t.inner)) != ck(t):
                 ok_tau2 = False
             left = tb.companion(
                 tb.rotate(t),
                 tb.complement_in_box(kap, t.letters, t.box2[1]),
                 tb.complement_in_box(nu, t.letters, t.box2[1]),
             )
-            right = tb.rotate(tau)
-            if iv.content_key(left) != iv.content_key(right):
+            if ck(left) != ck(tb.rotate(tau)):
                 ok27 = False
             dominated += 1
     rep.check(ok_tau2, f"companion involution on {dominated} dominant tableaux")
     rep.check(ok27, "companion commutes with rotation (letters <= 3)")
-    # LR iff 0-dominant (a non-partition weight rules out both sides)
-    ok = True
-    for t in ssyt_universe(3, 3, 3):
-        w = t.weight()
-        if all(a >= b for a, b in zip(w, w[1:])):
-            if tb.is_lr(t) != tb.is_dominant(t, tb.normalize(w)):
-                ok = False
-        elif tb.is_lr(t):
-            ok = False
-    rep.check(ok, "Yamanouchi word iff partition-shaped companion")
     # canonical family of a staircase-like shape
     lam = (5, 4, 3, 1)
     box = (4, 5)
     can = tb.canonical(lam, box1=box, box2=(4, 5))
     anti = iv.schuetzenberger(can)
-    family = {
-        iv.content_key(can),
-        iv.content_key(anti),
-        iv.content_key(tb.rotate(can)),
-        iv.content_key(tb.rotate(anti)),
-    }
+    family = {ck(can), ck(anti), ck(tb.rotate(can)), ck(tb.rotate(anti))}
     rep.check(len(family) == 4, "four distinct canonical-family tableaux")
     # rotating a canonical in its minimal box and rectifying gives the
     # weight-reversed canonical
     tight = tb.canonical(lam)
     rep.check(
-        iv.content_key(iv.jdt(tb.rotate(tight)))
-        == iv.content_key(iv.schuetzenberger(tight)),
+        ck(iv.jdt(tb.rotate(tight))) == ck(iv.schuetzenberger(tight)),
         "rectified rotation of a canonical equals its weight reversal",
     )
     # rectangular shapes are fixed by all four constructions
     rect = tb.canonical((3, 3, 3))
-    family_rect = {
-        iv.content_key(rect),
-        iv.content_key(iv.schuetzenberger(rect)),
-        iv.content_key(tb.rotate(rect)),
-        iv.content_key(tb.rotate(iv.schuetzenberger(rect))),
-    }
+    anti_rect = iv.schuetzenberger(rect)
+    family_rect = {ck(rect), ck(anti_rect), ck(tb.rotate(rect)), ck(tb.rotate(anti_rect))}
     rep.check(len(family_rect) == 1, "rectangular canonical is fixed by the family")
     return rep
 
 
 def suite_p3_sliding(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P3-sec3", "boxes <= 3x3, letters <= 3")
+    rep = SuiteReport("P3-sec3", "boxes <= 3x4 and 4x4, letters <= 4")
     import random as rnd
 
-    order_free = True
-    sampled = 0
     universe = [t for t in ssyt_universe(3, 3, 3) if t.inner]
-    rng = rnd.Random(scale.seed)
-    for t in rng.sample(universe, min(200, len(universe))):
-        base = iv.jdt(t)
-        for seed in (1, 2, 3):
-            if iv.content_key(iv.jdt_random_order(t, seed)) != iv.content_key(base):
-                order_free = False
-        sampled += 1
-    rep.check(order_free, f"sliding order does not matter ({sampled} samples, 3 orders each)")
-    ok_s2 = ok_comm = True
-    for t in ssyt_universe(3, 3, 3):
-        for i in range(1, t.letters):
-            if iv.content_key(iv.bender_knuth(iv.bender_knuth(t, i), i)) != iv.content_key(t):
-                ok_s2 = False
-    rep.check(ok_s2, "local moves are involutions")
-    for t in ssyt_universe(3, 4, 4):
-        a = iv.bender_knuth(iv.bender_knuth(t, 1), 3)
-        b = iv.bender_knuth(iv.bender_knuth(t, 3), 1)
-        if iv.content_key(a) != iv.content_key(b):
-            ok_comm = False
-    rep.check(ok_comm, "distant local moves commute")
-    ok = True
-    for t in ssyt_universe(3, 3, 3):
-        if iv.content_key(iv.apply_bk_word(iv.apply_bk_word(t, iv.zm_word(t.letters)), iv.zm_word(t.letters))) != iv.content_key(t):
-            ok = False
-    rep.check(ok, "weight reversal word squares to the identity")
-    ok_t = ok_z = ok_tsplit = True
-    for t in ssyt_universe(2, 3, 4):
-        for k in range(0, 4):
-            l = t.letters - k
-            if l < 0:
-                continue
-            w1 = iv.apply_bk_word(iv.apply_bk_word(t, iv.t_word(k, l)), iv.t_word(l, k))
-            if iv.content_key(w1) != iv.content_key(t):
-                ok_t = False
-        for k in (1, 2, 3):
-            l = t.letters - k
-            if l <= 0:
-                continue
-            left = iv.apply_bk_word(t, iv.zm_word(t.letters))
-            right = iv.apply_bk_word(
-                iv.apply_bk_word(iv.apply_bk_word(t, iv.zm_word(l)), iv.t_word(l, k)),
-                iv.zm_word(k),
-            )
-            if iv.content_key(left) != iv.content_key(right):
-                ok_z = False
-        for l in (1, 2):
-            for k in (1, 2):
-                m = t.letters - l - k
-                if m <= 0:
-                    continue
-                lhs = iv.apply_bk_word(t, iv.t_word(l + k, m))
-                rhs = iv.apply_bk_word(iv.apply_bk_word(t, iv.t_word(k, m, d=l)), iv.t_word(l, m))
-                if iv.content_key(lhs) != iv.content_key(rhs):
-                    ok_tsplit = False
-    rep.check(ok_t, "opposite block exchanges cancel")
-    rep.check(ok_z, "reversal splits through block exchanges")
-    rep.check(ok_tsplit, "block exchanges split additively")
-    pairs = 0
-    ok_sw = True
-    shapes = tb.partitions_in_box(3, 3)
-    for nu in shapes:
-        for mu in shapes:
-            if not tb.contains(nu, mu):
-                continue
-            for lam in shapes:
-                if not tb.contains(lam, nu):
-                    continue
-                ss = list(tb.enumerate_ssyt(nu, mu, max_letter=2, box1=(3, 3), box2=(2, 3)))
-                ts = list(tb.enumerate_ssyt(lam, nu, max_letter=2, box1=(3, 3), box2=(2, 3)))
-                for s in ss:
-                    for t in ts:
-                        if s.size() == 0 and t.size() == 0:
-                            continue
-                        a = iv.tableau_switch(s, t)
-                        b = iv.tableau_switch_sliding(s, t)
-                        if (iv.content_key(a[0]), iv.content_key(a[1])) != (
-                            iv.content_key(b[0]),
-                            iv.content_key(b[1]),
-                        ):
-                            ok_sw = False
-                        back = iv.tableau_switch(*a)
-                        if (
-                            iv.content_key(back[0]) != iv.content_key(s)
-                            or iv.content_key(back[1]) != iv.content_key(t)
-                        ):
-                            ok_sw = False
-                        if not s.inner and s.size() and iv.content_key(a[0]) != iv.content_key(iv.jdt(t)):
-                            ok_sw = False
-                        pairs += 1
-    rep.check(ok_sw, f"switching: two routes, involution, sliding identity ({pairs} pairs)")
+    sample = rnd.Random(scale.seed).sample(universe, min(200, len(universe)))
+    _check_laws(rep, sample, "3x3 box, 3 letters, {} samples, 3 orders each", {
+        "sliding order does not matter": _slide_order_free,
+    })
+    _check_laws(rep, ssyt_universe(3, 3, 3), "3x3 box, 3 letters, {} tableaux", {
+        "local moves are involutions": _bk_involutive,
+        "weight reversal word squares to the identity": _zm_square,
+    })
+    _check_laws(rep, ssyt_universe(3, 4, 4), "3x4 box, 4 letters, {} tableaux", {
+        "distant local moves commute": _bk_distant_commute,
+    })
+    _check_laws(rep, ssyt_universe(2, 3, 4), "2x3 box, 4 letters, {} tableaux", {
+        "opposite block exchanges cancel": lambda t: all(_t_cancel(t, k) for k in range(4)),
+        "reversal splits through block exchanges": lambda t: all(_z_split(t, k) for k in (1, 2, 3)),
+        "block exchanges split additively": lambda t: all(
+            _t_split(t, l, k) for l in (1, 2) for k in (1, 2) if l + k < t.letters
+        ),
+    })
+    _check_laws(rep, _stacked_pairs(3), "3x3 box, 2+2 letters, {} stacked pairs", {
+        "switching routes agree": _switch_routes_agree,
+        "switching is an involution": _switch_involutive,
+        "switching past a straight tableau rectifies": _switch_rectifies,
+    })
+    # the same laws on 4x4 boxes, one block split each
+    _check_laws(rep, ssyt_universe(4, 4, 4), "4x4 box, 4 letters, {} tableaux", {
+        "local moves are involutions": _bk_involutive,
+        "rotation is an involution": _rotation_involutive,
+        "weight reversal word squares to the identity": _zm_square,
+        "opposite block exchanges cancel": lambda t: _t_cancel(t, 1),
+        "reversal splits through block exchanges": lambda t: _z_split(t, 1),
+        "block exchanges split additively": lambda t: _t_split(t, 1, 1),
+    })
+    _check_laws(rep, _stacked_pairs(4), "4x4 box, 2+2 letters, {} stacked pairs", {
+        "switching is an involution": _switch_involutive,
+    })
     return rep
 
 

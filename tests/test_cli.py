@@ -58,6 +58,13 @@ class TestCount:
         assert captured.err.count("\n") == 1 and "exceeds enumeration limit" in captured.err
         assert "PERMUTORIA_LIMITS=enumeration=30" in captured.err
 
+    def test_sequence_limit_is_one_line(self, capsys):
+        code = main(["count", "--sequence", "catalan", "--n", "100000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "exceeds series_order limit" in captured.err
+        assert "PERMUTORIA_LIMITS=series_order=100000" in captured.err
+
 
 class TestSeries:
     def test_formula_equals_brute(self, capsys):

@@ -159,7 +159,8 @@ class TestLimitsEnv:
         from permutoria import limits as lm
 
         monkeypatch.setenv("PERMUTORIA_LIMITS", "bogus=1,enumeration=9")
-        assert lm._from_env().enumeration == 9
+        with pytest.warns(UserWarning, match="ignoring 'bogus=1': unknown key"):
+            assert lm._from_env().enumeration == 9
 
     def test_env_skips_non_integer(self, monkeypatch):
         from permutoria import limits as lm

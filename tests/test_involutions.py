@@ -94,8 +94,8 @@ class TestWords:
 
     def test_word_is_generator_fold(self):
         # apply_bk_word runs a whole word in one pass; folding the single
-        # generators is its oracle
-        for t in small_universe():
+        # generators is its oracle, also on the tableau with no rows
+        for t in small_universe() + [tb.SkewTableau((), (), (), (3, 3), (3, 3))]:
             m = t.letters
             words = [iv.zm_word(m), iv.t_word(1, m - 2, d=1)]
             words += [iv.t_word(k, m - k) for k in range(1, m)]
