@@ -21,8 +21,13 @@ quartiles of each side, the relative change of the medians, the number
 of pairs in which the head was better, whether the head's median is worse
 than the base's by more than the metric's ``bound`` (``worse_than_bound``)
 and whether it lies outside the base's quartiles
-(``outside_base_quartiles``).  The file is rewritten after every pair, so
-an interrupted run keeps what it measured.  Standard library only.
+(``outside_base_quartiles``).  Each run also keeps, per op kind, the
+median latency ``p50_ms`` and the total ``total_s`` from perfbench's
+``meta`` line, with ``s_per_round``, that total divided by the run's
+rounds; each workload's ``per_kind`` holds both sides' medians of these
+numbers, so a change can be traced to the op kinds it moves.  The file is
+rewritten after every pair, so an interrupted run keeps what it measured.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -52,7 +57,11 @@ def export(repo: Path, sha: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def run_side(
+    checkout: Path, workload: str, seed: int, seconds: float
+) -> tuple[dict[str, float], dict[str, dict]]:
+    """One run's end-to-end metrics, and per op kind its median latency,
+    its total time and that total per round (from the ``meta`` line)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -64,7 +73,13 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     result = json.loads(lines[-1])
     if not result["correct"]:
         raise RuntimeError(f"{workload} seed {seed} in {checkout}: {result['failed']} ops failed")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    meta = json.loads(next(line for line in lines if line.startswith("meta "))[5:])
+    kinds = {
+        kind: {"p50_ms": k["p50_ms"], "total_s": k["total_s"],
+               "s_per_round": k["total_s"] / meta["rounds"]}
+        for kind, k in meta["per_kind"].items()
+    }
+    return {name: m["value"] for name, m in result["metrics"].items()}, kinds
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -96,6 +111,22 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             "outside_base_quartiles": not b["q1"] <= h["median"] <= b["q3"],
         }
     return out
+
+
+def summarize_kinds(runs: list[dict]) -> dict:
+    """Per op kind and side, the median of each per-kind number over the runs."""
+    out: dict = {}
+    for run in runs:
+        for side in ("base", "head"):
+            for kind, numbers in run["per_kind"][side].items():
+                for key, value in numbers.items():
+                    if value is not None:
+                        out.setdefault(kind, {}).setdefault(side, {}).setdefault(key, []).append(value)
+    return {
+        kind: {side: {key: statistics.median(values) for key, values in numbers.items()}
+               for side, numbers in sides.items()}
+        for kind, sides in sorted(out.items())
+    }
 
 
 def main() -> int:
@@ -132,13 +163,15 @@ def main() -> int:
             entry = report["workloads"][workload] = {"runs": runs}
             for i, seed in enumerate(seeds):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                run = {"seed": seed, "order": list(order)}
+                run = {"seed": seed, "order": list(order), "per_kind": {}}
                 for side in order:
-                    run[side] = run_side(dirs[side], workload, seed, spec["run_seconds"])
+                    run[side], run["per_kind"][side] = run_side(
+                        dirs[side], workload, seed, spec["run_seconds"])
                     print(f"{workload} seed {seed} {side}: {run[side]['ops_per_s']:.2f} op/s",
                           file=sys.stderr, flush=True)
                 runs.append(run)
                 entry["metrics"] = summarize(runs, spec)
+                entry["per_kind"] = summarize_kinds(runs)
                 out_path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0

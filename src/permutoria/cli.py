@@ -21,7 +21,7 @@ from .kernels import engine_name
 from .limits import DEFAULT_LIMITS, enforce
 from .permcore import PatternSet
 from .series import RationalExpr, expand_rational, series_from_cells
-from .verify import CONJECTURE_SUITES, SUITES, Scale, run_suite
+from .verify import CONJECTURE_SUITES, MAX_BOX_CELLS, MAX_LETTERS, SUITES, Scale, run_suite
 
 
 def _parse_dcr(text: str) -> tuple[int, int, int]:
@@ -52,14 +52,15 @@ def _parse_orders(text: str) -> tuple[int, int, int]:
     return tuple(parts + [0] * (3 - len(parts)))  # type: ignore[return-value]
 
 
-def _at_least(low: int):
+def _at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if value < low or (high is not None and value > high):
+            within = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"expected an integer {within}, got {text!r}")
         return value
 
     return parse
@@ -86,6 +87,10 @@ def _parse_box(text: str) -> tuple[int, int]:
     if not (sep and rows.isdecimal() and cols.isdecimal() and min(int(rows), int(cols)) >= 1):
         raise argparse.ArgumentTypeError(
             f"expected ROWSxCOLS with both sides >= 1, e.g. 4x4, got {text!r}"
+        )
+    if int(rows) * int(cols) > MAX_BOX_CELLS:
+        raise argparse.ArgumentTypeError(
+            f"expected a box of at most {MAX_BOX_CELLS} cells, got {text!r}"
         )
     return int(rows), int(cols)
 
@@ -312,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help="suite name or 'all'")
     p.add_argument(
-        "--box", type=_parse_box, default="4x4", help="bounding box for tableau suites, e.g. 4x4"
+        "--box", type=_parse_box, default="4x4",
+        help=f"bounding box for tableau suites, e.g. 4x4, at most {MAX_BOX_CELLS} cells",
     )
-    p.add_argument("--letters", type=_at_least(1), default=4)
+    p.add_argument("--letters", type=_at_least(1, MAX_LETTERS), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)

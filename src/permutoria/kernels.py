@@ -1,12 +1,19 @@
 """The pattern matcher, the backtracking driver and the counting kernels.
 
 One matcher, ``_ends_at_last``, answers the question every search here
-asks: does a pattern occurrence end at the entry just placed?  One driver,
-``avoiding_words``, places entries left to right from a caller's candidate
-values and prunes a prefix as soon as the matcher fires.  The plain
-counters ``count_avoiders_py`` and ``count_da_py``, the enumerators in
-``counting`` and the extensions of a partial permutation in ``permcore``
-all run on that driver.
+asks: does a pattern occurrence end at the entry just placed?  Each caller
+compiles its patterns once per call with ``compile_pattern``.  A plan names,
+for every slot of the pattern, the two slots holding the nearest pattern
+values below and above it, so the matcher tests a candidate value with two
+comparisons instead of one per slot matched so far, and it records how
+later slots read each slot, so backtracking retries a slot only with
+values that can help them.
+
+One driver, ``avoiding_words``, places entries left to right from a
+caller's candidate values and prunes a prefix as soon as the matcher
+fires.  The plain counters ``count_avoiders_py`` and ``count_da_py``, the
+enumerators in ``counting`` and the extensions of a partial permutation in
+``permcore`` all run on that driver.
 
 The counters dominate the runtime of every brute-force suite.
 ``count_avoiders_raw`` is the memoised counter ``count_avoiders_memo``,
@@ -16,7 +23,9 @@ of once per leaf; ``count_da_raw`` is the plain counter ``count_da_py``.
 The oracles stay separate code: ``count_avoiders_py`` checks
 ``count_avoiders_memo``, brute force over all permutations checks
 ``count_da_py``, and ``permcore.contains_pattern_bruteforce`` checks the
-matcher.
+matcher.  ``count_avoiders_memo`` keeps its own ``_pattern_plan`` rather
+than the matcher's plans, so it shares no matching code with the plain
+counter that checks it.
 """
 
 from __future__ import annotations
@@ -25,57 +34,111 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
 Candidates = Callable[[list[int], list[bool], int], Iterable[int]]
+Plan = tuple[int, tuple[tuple[int | None, int | None, int], ...]]
+
+_BELOW_ALL = float("-inf")  # the bound of a slot with no lower neighbour
+_ABOVE_ALL = float("inf")  # and of one with no upper neighbour
+_FLOOR, _CEILING = 1, 2  # how later slots read a slot's value: the reads mask
 
 
-def _ends_at_last(word: Sequence[int], length: int, pat: Pattern) -> bool:
-    """Does an occurrence of pat end exactly at word[length-1]?
+def compile_pattern(pat: Sequence[int]) -> Plan:
+    """The plan of ``_ends_at_last`` for pat: ``(m, ((lo, hi, reads), ...))``.
 
-    Slots 0..m-2 of pat are matched left to right by backtracking over
-    positions; a value fits a slot when it compares with the last entry and
-    with every value already matched as the pattern says.
+    Entry s serves slot s < m - 1.  ``lo`` and ``hi`` name where the values
+    nearest to pat[s] below and above it sit among pat[:s] and the last
+    value pat[m-1]: an earlier slot index, -1 for the last entry, or None
+    when there is no such value.  ``reads`` says how later slots use slot
+    s's value: ``_FLOOR`` if some later slot has it as its ``lo``,
+    ``_CEILING`` if some has it as its ``hi``, both bits or neither.
     """
     m = len(pat)
+    los: list[int | None] = []
+    his: list[int | None] = []
+    reads = [0] * max(m - 1, 0)
+    for s in range(m - 1):
+        want = pat[s]
+        lo = hi = None
+        for j in range(-1, s):  # the last entry, then the earlier slots
+            v = pat[j]
+            if v < want:
+                if lo is None or v > pat[lo]:
+                    lo = j
+            elif hi is None or v < pat[hi]:
+                hi = j
+        los.append(lo)
+        his.append(hi)
+        if lo is not None and lo >= 0:
+            reads[lo] |= _FLOOR
+        if hi is not None and hi >= 0:
+            reads[hi] |= _CEILING
+    return m, tuple(zip(los, his, reads))
+
+
+def _ends_at_last(word: Sequence[int], length: int, plan: Plan) -> bool:
+    """Does an occurrence of the compiled pattern end exactly at word[length-1]?
+
+    Slots 0..m-2 are matched left to right by backtracking over positions.
+    The values already matched, with the last entry, are ordered as their
+    pattern values are.  So a value u fits slot s exactly when a < u < b,
+    where a and b are the values in the slots ``lo`` and ``hi`` of
+    ``compile_pattern``, whose pattern values are nearest to pat[s] from
+    below and from above: a known value whose pattern value lies below
+    pat[s] is at most a, and one above is at least b.  Strict bounds also
+    keep a value equal to a matched one, or to the last entry, out of every
+    slot.
+
+    Each slot first takes its leftmost fit.  Backtracking into slot s with
+    value u looks further right only for values that can do better for the
+    later slots, which see s only through their own bounds.  If they read
+    s only as a floor, any value above u, being further right as well,
+    allows no completion that u does not, so the retry looks below u; if
+    they read s only as a ceiling, it looks above u; if no later slot reads
+    s, its leftmost fit is final and the search backs up past it.  Every
+    position is tested with the same two comparisons.
+    """
+    m, bounds = plan
     if m > length:
         return False
     if m == 1:
         return True
-    v = word[length - 1]
-    top = pat[m - 1]
-    chosen = [0] * (m - 1)  # values matched to slots 0..slot-1
-    at = [0] * (m - 1)  # and their positions
+    last = m - 1
+    chosen = [0] * m  # values matched to slots 0..slot-1; chosen[-1] is the last entry
+    chosen[last] = word[length - 1]
+    at = [0] * last  # and their positions
+    end = length - last  # slot s must sit before end + s
     slot = pos = 0
+    lo, hi, reads = bounds[0]
+    a = _BELOW_ALL if lo is None else chosen[lo]
+    b = _ABOVE_ALL if hi is None else chosen[hi]
     while True:
-        end = length - (m - 1 - slot)
-        want = pat[slot]
-        below = want < top
-        while pos < end:
+        stop = end + slot
+        while pos < stop:
             u = word[pos]
-            if (u < v) == below:
-                for j in range(slot):
-                    if (chosen[j] < u) != (pat[j] < want):
-                        break
-                else:
-                    break
+            if a < u < b:
+                break
             pos += 1
-        if pos < end:
-            chosen[slot] = u
-            at[slot] = pos
-            slot += 1
-            if slot == m - 1:
-                return True
-            pos += 1
-        elif slot:
-            slot -= 1
-            pos = at[slot] + 1
         else:
-            return False
-
-
-def _prefix_blocked(word: list[int], length: int, patterns: Sequence[Pattern]) -> bool:
-    for pat in patterns:
-        if _ends_at_last(word, length, pat):
+            while True:
+                if not slot:
+                    return False
+                slot -= 1
+                lo, hi, reads = bounds[slot]
+                if reads:
+                    break
+            u = chosen[slot]
+            a = u if reads == _CEILING else (_BELOW_ALL if lo is None else chosen[lo])
+            b = u if reads == _FLOOR else (_ABOVE_ALL if hi is None else chosen[hi])
+            pos = at[slot] + 1
+            continue
+        chosen[slot] = u
+        at[slot] = pos
+        slot += 1
+        if slot == last:
             return True
-    return False
+        lo, hi, reads = bounds[slot]
+        a = _BELOW_ALL if lo is None else chosen[lo]
+        b = _ABOVE_ALL if hi is None else chosen[hi]
+        pos += 1
 
 
 def avoiding_words(
@@ -90,7 +153,7 @@ def avoiding_words(
     containment is monotone under extension.  Words come out in the order
     the candidates give.
     """
-    patterns = tuple(tuple(p) for p in patterns)
+    plans = [compile_pattern(p) for p in patterns]
     word = [0] * n
     used = [False] * (n + 1)
     if n == 0:
@@ -103,7 +166,10 @@ def avoiding_words(
         pos = len(stack) - 1
         for v in stack[pos]:
             word[pos] = v
-            if not _prefix_blocked(word, pos + 1, patterns):
+            for plan in plans:
+                if _ends_at_last(word, pos + 1, plan):
+                    break
+            else:
                 break
         else:
             stack.pop()

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import ZeroObject
-from .kernels import _ends_at_last, avoiding_words
+from .kernels import Plan, _ends_at_last, avoiding_words, compile_pattern
 
 Word = tuple[int, ...]
 GappedWord = tuple  # entries int or None
@@ -96,7 +96,8 @@ def contains_pattern(word: Sequence[int], pattern: Sequence[int]) -> bool:
     """
     if not pattern:
         return True
-    return any(_ends_at_last(word, k, pattern) for k in range(len(pattern), len(word) + 1))
+    plan = compile_pattern(pattern)
+    return any(_ends_at_last(word, k, plan) for k in range(len(pattern), len(word) + 1))
 
 
 def contains_pattern_bruteforce(word: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -465,22 +466,20 @@ def _insert_row(pp: PartialPermutation, site: int) -> PartialPermutation:
     return PartialPermutation._trusted(pp.rows + 1, pp.cols, dots)
 
 
-def _admits(
-    words: list[Word], inserts: Sequence[tuple[int, int]], patterns: tuple[Word, ...]
-) -> bool:
+def _admits(words: list[Word], inserts: Sequence[tuple[int, int]], plans: list[Plan]) -> bool:
     """Does inserting value b at index i into some extension keep it an avoider?
 
-    Entries >= b are raised by one first.  Each word avoids the patterns,
-    so a new occurrence must end at or after index i.
+    Entries >= b are raised by one first.  Each word avoids the compiled
+    patterns, so a new occurrence must end at or after index i.
     """
     for word in words:
         for i, b in inserts:
             new = [v + (v >= b) for v in word]
             new.insert(i, b)
             if not any(
-                _ends_at_last(new, k, p)
+                _ends_at_last(new, k, plan)
                 for k in range(i + 1, len(new) + 1)
-                for p in patterns
+                for plan in plans
             ):
                 return True
     return False
@@ -516,18 +515,18 @@ def children_with_kinds(
                 out.append(("dot", child))
         return tuple(out)
     exts = list(extensions(pp, patterns))
-    pats = patterns.patterns
+    plans = [compile_pattern(p) for p in patterns.patterns]
     n, top = pp.size, pp.cols + 1
     dot_ok: dict[int, bool] = {}
     if not empties:
         for site in range(1, pp.rows + 2):
-            dot_ok[site] = _admits(exts, ((site - 1, top),), pats)
+            dot_ok[site] = _admits(exts, ((site - 1, top),), plans)
             if dot_ok[site]:
                 out.append(("dot", _insert_dot(pp, site)))
         # the bottom dot child is the column child with its new column
         # entry in the first row below pp
         if dot_ok[pp.rows + 1] or _admits(
-            exts, [(i, top) for i in range(pp.rows + 1, n + 1)], pats
+            exts, [(i, top) for i in range(pp.rows + 1, n + 1)], plans
         ):
             out.append(("column", PartialPermutation._trusted(pp.rows, pp.cols + 1, pp.dots)))
     if rule == "standard-extended":
@@ -541,7 +540,7 @@ def children_with_kinds(
         # can only take the value cols + 1: the dot child's insertion
         ok = dot_ok.get(site)
         if ok is None:
-            ok = _admits(exts, [(site - 1, b) for b in range(top, n + 2)], pats)
+            ok = _admits(exts, [(site - 1, b) for b in range(top, n + 2)], plans)
         if ok:
             out.append(("row", _insert_row(pp, site)))
     return tuple(out)

@@ -84,6 +84,13 @@ class Scale:
     seed: int = 0
 
 
+# the largest P3-figure21 universe ``verify`` accepts: on 2 cores the suite
+# takes about 15 s at 4x4 with 4 letters, 70 s at 5x4 or 4x5, 90 s at 5x4
+# with 5 letters, and more than 90 s at 5x5
+MAX_BOX_CELLS = 20
+MAX_LETTERS = 5
+
+
 # ---------------------------------------------------------------------------
 # universes
 
@@ -725,10 +732,24 @@ def _bk_distant_commute(t: tb.SkewTableau) -> bool:
     return ck(a) == ck(iv.bender_knuth(iv.bender_knuth(t, 3), 1))
 
 
-def _zm_square(t: tb.SkewTableau) -> bool:
+Reversed = tuple[tb.SkewTableau, tb.SkewTableau]
+
+
+def _with_reversal(universe: Iterable[tb.SkewTableau]) -> Iterator[Reversed]:
+    """Each tableau with its weight reversal zm(letters), which the laws
+    below read instead of applying the word again."""
+    for t in universe:
+        yield t, _words(t, iv.zm_word(t.letters))
+
+
+def _on_tableau(law: Callable[[tb.SkewTableau], bool]) -> Callable[[Reversed], bool]:
+    return lambda case: law(case[0])
+
+
+def _zm_square(case: Reversed) -> bool:
     """On partition shapes this is the evacuation square."""
-    zw = iv.zm_word(t.letters)
-    return ck(_words(t, zw, zw)) == ck(t)
+    t, z = case
+    return ck(_words(z, iv.zm_word(t.letters))) == ck(t)
 
 
 def _t_cancel(t: tb.SkewTableau, k: int) -> bool:
@@ -736,10 +757,11 @@ def _t_cancel(t: tb.SkewTableau, k: int) -> bool:
     return ck(_words(t, iv.t_word(k, l), iv.t_word(l, k))) == ck(t)
 
 
-def _z_split(t: tb.SkewTableau, k: int) -> bool:
+def _z_split(case: Reversed, k: int) -> bool:
+    t, z = case
     l = t.letters - k
     right = _words(t, iv.zm_word(l), iv.t_word(l, k), iv.zm_word(k))
-    return ck(_words(t, iv.zm_word(t.letters))) == ck(right)
+    return ck(z) == ck(right)
 
 
 def _t_split(t: tb.SkewTableau, l: int, k: int) -> bool:
@@ -832,19 +854,21 @@ def suite_p3_sliding(scale: Scale) -> SuiteReport:
     _check_laws(rep, sample, "3x3 box, 3 letters, {} samples, 3 orders each", {
         "sliding order does not matter": _slide_order_free,
     })
-    _check_laws(rep, ssyt_universe(3, 3, 3), "3x3 box, 3 letters, {} tableaux", {
-        "local moves are involutions": _bk_involutive,
+    _check_laws(rep, _with_reversal(ssyt_universe(3, 3, 3)), "3x3 box, 3 letters, {} tableaux", {
+        "local moves are involutions": _on_tableau(_bk_involutive),
         "weight reversal word squares to the identity": _zm_square,
     })
     _check_laws(rep, ssyt_universe(3, 4, 4), "3x4 box, 4 letters, {} tableaux", {
         "distant local moves commute": _bk_distant_commute,
     })
-    _check_laws(rep, ssyt_universe(2, 3, 4), "2x3 box, 4 letters, {} tableaux", {
-        "opposite block exchanges cancel": lambda t: all(_t_cancel(t, k) for k in range(4)),
-        "reversal splits through block exchanges": lambda t: all(_z_split(t, k) for k in (1, 2, 3)),
-        "block exchanges split additively": lambda t: all(
-            _t_split(t, l, k) for l in (1, 2) for k in (1, 2) if l + k < t.letters
+    _check_laws(rep, _with_reversal(ssyt_universe(2, 3, 4)), "2x3 box, 4 letters, {} tableaux", {
+        "opposite block exchanges cancel": _on_tableau(
+            lambda t: all(_t_cancel(t, k) for k in range(4))
         ),
+        "reversal splits through block exchanges": lambda c: all(_z_split(c, k) for k in (1, 2, 3)),
+        "block exchanges split additively": _on_tableau(lambda t: all(
+            _t_split(t, l, k) for l in (1, 2) for k in (1, 2) if l + k < t.letters
+        )),
     })
     _check_laws(rep, _stacked_pairs(3), "3x3 box, 2+2 letters, {} stacked pairs", {
         "switching routes agree": _switch_routes_agree,
@@ -852,13 +876,13 @@ def suite_p3_sliding(scale: Scale) -> SuiteReport:
         "switching past a straight tableau rectifies": _switch_rectifies,
     })
     # the same laws on 4x4 boxes, one block split each
-    _check_laws(rep, ssyt_universe(4, 4, 4), "4x4 box, 4 letters, {} tableaux", {
-        "local moves are involutions": _bk_involutive,
-        "rotation is an involution": _rotation_involutive,
+    _check_laws(rep, _with_reversal(ssyt_universe(4, 4, 4)), "4x4 box, 4 letters, {} tableaux", {
+        "local moves are involutions": _on_tableau(_bk_involutive),
+        "rotation is an involution": _on_tableau(_rotation_involutive),
         "weight reversal word squares to the identity": _zm_square,
-        "opposite block exchanges cancel": lambda t: _t_cancel(t, 1),
-        "reversal splits through block exchanges": lambda t: _z_split(t, 1),
-        "block exchanges split additively": lambda t: _t_split(t, 1, 1),
+        "opposite block exchanges cancel": _on_tableau(lambda t: _t_cancel(t, 1)),
+        "reversal splits through block exchanges": lambda c: _z_split(c, 1),
+        "block exchanges split additively": _on_tableau(lambda t: _t_split(t, 1, 1)),
     })
     _check_laws(rep, _stacked_pairs(4), "4x4 box, 2+2 letters, {} stacked pairs", {
         "switching is an involution": _switch_involutive,

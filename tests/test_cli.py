@@ -212,6 +212,9 @@ class TestVerify:
         ["series", "--formula", "1/(1-x)", "--orders", "100000,0,0", "--total", "5"],
         ["biject", "--name", "psi", "--n", "4", "--tau", "5"],
         ["biject", "--name", "psi", "--n", "4", "--tau", "99"],
+        ["verify", "P3-figure21", "--box", "9x9", "--letters", "9"],
+        ["verify", "P3-figure21", "--box", "5x5"],
+        ["verify", "P3-figure21", "--letters", "6"],
     ],
     ids=[
         "tau", "box", "json", "json-key", "dcr", "orders",
@@ -221,6 +224,7 @@ class TestVerify:
         "letters-zero", "box-zero",
         "total-negative", "dcr-negative", "orders-negative",
         "orders-above-limit", "tau-not-from-3", "tau-repeated",
+        "scale-above-cap", "box-above-cap", "letters-above-cap",
     ],
 )
 def test_malformed_input_is_one_line(capsys, argv):

@@ -1,6 +1,7 @@
 """The counting kernels against their oracles.
 
-The plain counters must equal brute force over all permutations, the
+The matcher must equal an exhaustive search at every end position, the
+plain counters must equal brute force over all permutations, the
 memoised counter must equal the plain one, and ``counting`` must count
 through the memoised engine on every input, however long or many the
 patterns.
@@ -58,6 +59,24 @@ def test_memo_matches_plain(patterns):
 pattern = st.integers(1, 5).flatmap(
     lambda k: st.permutations(list(range(1, k + 1))).map(tuple)
 )
+
+
+def ends_at_bruteforce(w, k, p):
+    """Does some occurrence of p in w[:k] use position k - 1?  Exhaustive."""
+    m = len(p)
+    for idx in itertools.combinations(range(k - 1), m - 1):
+        values = [w[i] for i in idx] + [w[k - 1]]
+        if tuple(sorted(values).index(v) + 1 for v in values) == p:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.permutations(list(range(1, n + 1)))), pattern)
+def test_matcher_matches_bruteforce_at_every_end(w, p):
+    plan = kernels.compile_pattern(p)
+    for k in range(1, len(w) + 1):
+        assert kernels._ends_at_last(w, k, plan) == ends_at_bruteforce(w, k, p), (w, k, p)
 
 
 @settings(max_examples=40, deadline=None)

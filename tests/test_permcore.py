@@ -23,6 +23,7 @@ sized_perm = st.integers(1, 9).flatmap(
 short_pattern = st.integers(1, 4).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).map(tuple)
 )
+word_with_repeats = st.lists(st.integers(1, 5), max_size=7).map(tuple)
 
 
 class TestContainment:
@@ -54,6 +55,16 @@ class TestContainment:
     @settings(max_examples=200, deadline=None)
     @given(sized_perm, short_pattern)
     def test_matches_bruteforce_up_to_nine(self, w, p):
+        assert pc.contains_pattern(w, p) == pc.contains_pattern_bruteforce(w, p)
+
+    def test_tied_values_form_no_occurrence(self):
+        for p in ((1, 2), (2, 1)):
+            assert not pc.contains_pattern((1, 1), p)
+            assert not pc.contains_pattern_bruteforce((1, 1), p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_with_repeats, short_pattern)
+    def test_matches_bruteforce_with_repeats(self, w, p):
         assert pc.contains_pattern(w, p) == pc.contains_pattern_bruteforce(w, p)
 
     def test_avoids_all(self):
