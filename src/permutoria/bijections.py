@@ -4,12 +4,14 @@ Three maps live here: the insertion-tableau bijection between avoiders of
 an increasing length-4 pattern and doubly alternating avoiders of twice the
 size; the block decomposition onto Dyck paths; and the active-region
 rewiring between the 12-prefixed and 21-prefixed avoiding families.
+Active regions are read with the one pattern matcher,
+``permcore.contains_pattern``; this module runs no search of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import (
     NoPlacement,
@@ -256,109 +258,64 @@ class ActiveRegion:
         return tuple(sorted(c for _, c in self.placement))
 
 
-def _occurrences(word: Word, pattern: Word) -> Iterator[tuple[int, ...]]:
-    """All index tuples carrying the pattern (1-based positions)."""
-    n, m = len(word), len(pattern)
-
-    def rec(slot: int, start: int, chosen: list[int]):
-        if slot == m:
-            yield tuple(i + 1 for i in chosen)
-            return
-        for pos in range(start, n - (m - slot) + 1):
-            ok = True
-            for j, p in enumerate(chosen):
-                if (word[p] < word[pos]) != (pattern[j] < pattern[slot]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(pos)
-                yield from rec(slot + 1, pos + 1, chosen)
-                chosen.pop()
-
-    yield from rec(0, 0, [])
-
-
-def pattern_with_prefix(prefix: tuple[int, int], tail: Word) -> Word:
-    """12tau or 21tau: the tail is a permutation of {3..m}."""
-    return prefix + tuple(tail)
-
-
 def active_region(word: Word, tail: Word) -> ActiveRegion:
     """Active dots, pairs and their rectangle union for one of the two
-    one-sided families."""
-    pat12 = pattern_with_prefix((1, 2), tail)
-    pat21 = pattern_with_prefix((2, 1), tail)
-    avoid12 = not contains_pattern(word, pat12)
-    avoid21 = not contains_pattern(word, pat21)
+    one-sided families.
+
+    Positions i1 < i2 form an active pair when they start an occurrence of
+    12tau or 21tau, that is when std(tau) occurs among the entries after i2
+    that exceed both of their values.  The rectangle of the pair reaches
+    down to row i2 and across to column max(w[i1], w[i2]).
+    """
     if not is_doubly_alternating(word):
         raise NotInDomain(f"{word} is not doubly alternating")
-    pairs = []
+    tau = standardize(tail)
+    n = len(word)
     active = set()
-    for pat in (pat12, pat21):
-        for occ in _occurrences(word, pat):
-            i1, i2 = occ[0], occ[1]
-            d1 = (i1, word[i1 - 1])
-            d2 = (i2, word[i2 - 1])
-            active.update((d1, d2))
-            pairs.append((d1, d2))
-    if avoid12 or avoid21:
+    widths = [0] * n  # widths[i2]: the widest rectangle of a pair ending at i2
+    rising = falling = False
+    for i2 in range(1, n):
+        v2 = word[i2]
+        rest = word[i2 + 1 :]
+        # fewer entries clear a higher bar, so once a bar fails every higher
+        # one fails too: try the bars in increasing order, stop at a failure
+        for bar, i1 in sorted((max(word[i1], v2), i1) for i1 in range(i2)):
+            if bar > widths[i2] and not contains_pattern([v for v in rest if v > bar], tau):
+                break
+            widths[i2] = bar
+            active.update(((i1 + 1, word[i1]), (i2 + 1, v2)))
+            rising |= word[i1] < v2
+            falling |= word[i1] > v2
+    if not (rising and falling):
         # inside one of the one-sided families every active dot sits on odd
         # coordinates; outside them the claim is not guaranteed
         for (r, c) in active:
             if r % 2 == 0 or c % 2 == 0:
                 raise AssertionError(f"active dot {(r, c)} with an even coordinate")
-    n = len(word)
-    lengths = [0] * n
-    for d1, d2 in pairs:
-        depth = max(d1[0], d2[0])
-        width = max(d1[1], d2[1])
-        for r in range(depth):
-            lengths[r] = max(lengths[r], width)
-    while lengths and lengths[-1] == 0:
-        lengths.pop()
-    diagram = tuple(lengths)
-    placement = tuple(
-        sorted((i + 1, v) for i, v in enumerate(word) if i < len(diagram) and v <= diagram[i])
-    )
-    if avoid12 and placement_contains(diagram, placement, (1, 2)):
+    depth = max((i + 1 for i, width in enumerate(widths) if width), default=0)
+    diagram = tuple(max(widths[r:]) for r in range(depth))
+    placement = tuple((r + 1, word[r]) for r in range(depth) if word[r] <= diagram[r])
+    if not rising and placement_contains(diagram, placement, rising=True):
         raise AssertionError("induced placement not 12-avoiding on the 12-avoiding side")
-    if avoid21 and placement_contains(diagram, placement, (2, 1)):
+    if not falling and placement_contains(diagram, placement, rising=False):
         raise AssertionError("induced placement not 21-avoiding on the 21-avoiding side")
     return ActiveRegion(diagram, tuple(sorted(active)), placement)
 
 
 def placement_contains(
-    diagram: Sequence[int], dots: Sequence[tuple[int, int]], pattern: Word
+    diagram: Sequence[int], dots: Sequence[tuple[int, int]], rising: bool
 ) -> bool:
-    """Pattern containment for rook placements on a Young diagram.
+    """Whether a rook placement on a Young diagram contains 12 (rising) or 21.
 
-    An occurrence only counts when the whole spanned grid lies inside the
-    diagram, i.e. its bounding corner cell (max row, max col) does.
+    A pair of dots only counts when the whole grid it spans lies inside the
+    diagram, i.e. its bounding corner cell (lower row, larger column) does.
     """
     dots = sorted(dots)
-    m = len(pattern)
-
-    def rec(slot: int, start: int, chosen: list[tuple[int, int]]) -> bool:
-        if slot == m:
-            row = max(r for r, _ in chosen)
-            col = max(c for _, c in chosen)
-            return row <= len(diagram) and col <= diagram[row - 1]
-        for idx in range(start, len(dots) - (m - slot) + 1):
-            r, c = dots[idx]
-            ok = True
-            for j, (_, cj) in enumerate(chosen):
-                if (cj < c) != (pattern[j] < pattern[slot]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append((r, c))
-                if rec(slot + 1, idx + 1, chosen):
-                    chosen.pop()
-                    return True
-                chosen.pop()
-        return False
-
-    return rec(0, 0, [])
+    return any(
+        (c1 < c2) == rising and r2 <= len(diagram) and max(c1, c2) <= diagram[r2 - 1]
+        for k, (_, c1) in enumerate(dots)
+        for r2, c2 in dots[k + 1 :]
+    )
 
 
 def unique_monotone_placement(
@@ -391,8 +348,7 @@ def unique_monotone_placement(
         free.remove(pick)
         out.append((r, pick))
     result = tuple(sorted(out))
-    forbidden = (1, 2) if direction == "decreasing" else (2, 1)
-    if placement_contains(diagram, result, forbidden):
+    if placement_contains(diagram, result, rising=direction == "decreasing"):
         raise NoPlacement(f"greedy placement is not {direction}")
     return result
 
@@ -407,13 +363,12 @@ def placements_bruteforce(
     from itertools import permutations as iperm
 
     rows = sorted(rows)
-    forbidden = (1, 2) if direction == "decreasing" else (2, 1)
     out = []
     for assignment in iperm(sorted(cols)):
         if not all(c <= diagram[r - 1] for r, c in zip(rows, assignment)):
             continue
         dots = tuple(zip(rows, assignment))
-        if not placement_contains(diagram, dots, forbidden):
+        if not placement_contains(diagram, dots, rising=direction == "decreasing"):
             out.append(dots)
     return out
 
@@ -432,22 +387,20 @@ def _rewire(word: Word, tail: Word, direction: Literal["increasing", "decreasing
 def psi(word: Word, tail: Word) -> Word:
     """12tau-avoiding doubly alternating to 21tau-avoiding, fixing every dot
     outside the active region."""
-    pat12 = pattern_with_prefix((1, 2), tail)
+    pat12, pat21 = (1, 2) + tuple(tail), (2, 1) + tuple(tail)
     if not is_doubly_alternating(word) or contains_pattern(word, pat12):
         raise NotInDomain(f"{word} is not a doubly alternating {pat12}-avoider")
     image = _rewire(word, tail, "increasing")
-    pat21 = pattern_with_prefix((2, 1), tail)
     if contains_pattern(image, pat21) or not is_doubly_alternating(image):
         raise AssertionError(f"image {image} left the target family")
     return image
 
 
 def psi_inverse(word: Word, tail: Word) -> Word:
-    pat21 = pattern_with_prefix((2, 1), tail)
+    pat12, pat21 = (1, 2) + tuple(tail), (2, 1) + tuple(tail)
     if not is_doubly_alternating(word) or contains_pattern(word, pat21):
         raise NotInDomain(f"{word} is not a doubly alternating {pat21}-avoider")
     image = _rewire(word, tail, "decreasing")
-    pat12 = pattern_with_prefix((1, 2), tail)
     if contains_pattern(image, pat12) or not is_doubly_alternating(image):
         raise AssertionError(f"image {image} left the target family")
     return image

@@ -213,7 +213,7 @@ def cmd_tableau(args) -> int:
         "omega": iv.omega,
     }
     if args.op == "rsk":
-        p, q = iv.rsk_tableau(t, tb.normalize(t.weight()))
+        p, q = iv.rsk_tableau(t)
         print(p.to_json())
         print(q.to_json())
         return 0

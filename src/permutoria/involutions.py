@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 from .errors import (
     CanonicalAssertFailed,
+    NotDominant,
     NotInnerCorner,
     NotLR,
     NotPartitionShaped,
@@ -497,10 +498,14 @@ def rsk_tableau(
     """(jdt of t, jdt of its companion); needs a companion shape.
 
     For Littlewood-Richardson input the companion shape defaults to the
-    weight with empty inner shape.
+    weight with empty inner shape; a weight that is not a partition raises
+    NotDominant.
     """
     if comp_outer is None:
-        comp_outer = normalize(t.weight())
+        try:
+            comp_outer = normalize(t.weight())
+        except ValueError:
+            raise NotDominant(f"the weight {t.weight()} is not a partition") from None
     tau = companion(t, comp_outer, comp_inner)
     return jdt(t), jdt(tau)
 

@@ -215,12 +215,19 @@ class SkewTableau:
     @classmethod
     def from_json(cls, text: str) -> "SkewTableau":
         obj = json.loads(text)
+
+        def ints(key: str, values) -> tuple[int, ...]:
+            values = tuple(values)
+            if any(type(v) is not int for v in values):  # also refuses bools
+                raise NotATableau(f"{key} must hold integers, got {list(values)}")
+            return values
+
         return cls(
-            normalize(obj["outer"]),
-            normalize(obj["inner"]),
-            tuple(tuple(r) for r in obj["rows"]),
-            tuple(obj["boxShape"]),
-            tuple(obj["boxCompanion"]),
+            normalize(ints("outer", obj["outer"])),
+            normalize(ints("inner", obj["inner"])),
+            tuple(ints("rows", r) for r in obj["rows"]),
+            ints("boxShape", obj["boxShape"]),
+            ints("boxCompanion", obj["boxCompanion"]),
         )
 
 

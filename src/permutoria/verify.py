@@ -105,7 +105,8 @@ def lr_universe(R: int, C: int, N: int) -> Iterator[tb.SkewTableau]:
             if total == 0:
                 continue
             for nu in tb.partitions_of(total, max_len=N):
-                yield from tb.enumerate_lr(lam, mu, nu, box1=(R, C))
+                if tb.contains(lam, nu):  # c^lam_{mu,nu} = 0 unless nu fits in lam
+                    yield from tb.enumerate_lr(lam, mu, nu, box1=(R, C))
 
 
 def ssyt_universe(R: int, C: int, N: int) -> Iterator[tb.SkewTableau]:

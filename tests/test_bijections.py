@@ -6,7 +6,7 @@ from permutoria import bijections as bj
 from permutoria import counting as ct
 from permutoria.errors import NotAvoider, NotInDomain, NotYamanouchi
 from permutoria.limits import Limits
-from permutoria.permcore import PatternSet, avoids_all, is_doubly_alternating
+from permutoria.permcore import PatternSet, avoids_all, is_doubly_alternating, standardize
 
 L = Limits(enumeration=11, da=14)
 
@@ -145,6 +145,38 @@ class TestActiveRegion:
             )
             groups.setdefault(key, set()).add(region.diagram)
         assert all(len(v) == 1 for v in groups.values())
+
+    @staticmethod
+    def region_oracle(w, tail):
+        """The region read off every occurrence of 12tau and 21tau, found by
+        trying every subsequence."""
+        pairs = set()
+        for prefix in ((1, 2), (2, 1)):
+            pat = prefix + tail
+            for idx in itertools.combinations(range(len(w)), len(pat)):
+                if standardize([w[i] for i in idx]) == pat:
+                    pairs.add(idx[:2])
+        dots = {(i + 1, w[i]) for pair in pairs for i in pair}
+        depth = max((i2 + 1 for _, i2 in pairs), default=0)
+        diagram = tuple(
+            max(max(w[i1], w[i2]) for i1, i2 in pairs if i2 >= r) for r in range(depth)
+        )
+        placement = tuple((r + 1, w[r]) for r in range(depth) if w[r] <= diagram[r])
+        return bj.ActiveRegion(diagram, tuple(sorted(dots)), placement)
+
+    @pytest.mark.parametrize(
+        "tail, total", [((3, 4), 161), ((4, 3), 86), ((3,), 13), ((5, 3, 4), 257)]
+    )
+    def test_matches_occurrence_oracle(self, tail, total):
+        checked = 0
+        for n in range(10):
+            words = set()
+            for prefix in ((1, 2), (2, 1)):
+                words.update(ct.enumerate_da(n, PatternSet([prefix + tail]), L))
+            for w in sorted(words):
+                assert bj.active_region(w, tail) == self.region_oracle(w, tail), w
+            checked += len(words)
+        assert checked == total
 
 
 class TestPlacements:

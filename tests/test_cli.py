@@ -135,6 +135,21 @@ class TestTableau:
         assert code == 0
         assert json.loads(out) == [[0, 1, 0], [1, 0, 1]]
 
+    def test_rsk_weight_not_a_partition_is_one_line(self, capsys):
+        blob = json.dumps(
+            {
+                "outer": [3, 1],
+                "inner": [1],
+                "boxShape": [2, 3],
+                "boxCompanion": [2, 3],
+                "rows": [[1, 2], [2]],
+            }
+        )
+        code = main(["tableau", "--op", "rsk", "--input", blob])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "(1, 2) is not a partition" in captured.err
+
 
 class TestVerify:
     def test_pass_suite_exits_zero(self, capsys):
@@ -187,6 +202,12 @@ class TestVerify:
         assert verify_in_child("P1-sec4").returncode == 0
 
 
+FLOAT_ENTRY = (
+    '{"outer":[1],"inner":[],"boxShape":[1,1],"boxCompanion":[1,1],"rows":[[1.0]]}'
+)
+FLOAT_BOX = '{"outer":[1],"inner":[],"boxShape":[1.5,1],"boxCompanion":[1,1],"rows":[[1]]}'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -215,6 +236,15 @@ class TestVerify:
         ["verify", "P3-figure21", "--box", "9x9", "--letters", "9"],
         ["verify", "P3-figure21", "--box", "5x5"],
         ["verify", "P3-figure21", "--letters", "6"],
+        *(
+            ["tableau", "--op", op, "--input", FLOAT_ENTRY]
+            for op in ("rec", "omega", "rsk")
+        ),
+        *(
+            ["tableau", "--op", op, "--input", FLOAT_BOX]
+            for op in ("rotate", "omega", "rsk", "rec")
+        ),
+        ["tableau", "--op", "rec", "--input", FLOAT_ENTRY.replace("1.0", "true")],
     ],
     ids=[
         "tau", "box", "json", "json-key", "dcr", "orders",
@@ -225,6 +255,9 @@ class TestVerify:
         "total-negative", "dcr-negative", "orders-negative",
         "orders-above-limit", "tau-not-from-3", "tau-repeated",
         "scale-above-cap", "box-above-cap", "letters-above-cap",
+        "float-entry-rec", "float-entry-omega", "float-entry-rsk",
+        "float-box-rotate", "float-box-omega", "float-box-rsk", "float-box-rec",
+        "bool-entry",
     ],
 )
 def test_malformed_input_is_one_line(capsys, argv):
