@@ -263,13 +263,12 @@ def active_region(word: Word, tail: Word) -> ActiveRegion:
     one-sided families.
 
     Positions i1 < i2 form an active pair when they start an occurrence of
-    12tau or 21tau, that is when std(tau) occurs among the entries after i2
-    that exceed both of their values.  The rectangle of the pair reaches
-    down to row i2 and across to column max(w[i1], w[i2]).
+    12tau or 21tau, that is when tau occurs as a pattern among the entries
+    after i2 that exceed both of their values.  The rectangle of the pair
+    reaches down to row i2 and across to column max(w[i1], w[i2]).
     """
     if not is_doubly_alternating(word):
         raise NotInDomain(f"{word} is not doubly alternating")
-    tau = standardize(tail)
     n = len(word)
     active = set()
     widths = [0] * n  # widths[i2]: the widest rectangle of a pair ending at i2
@@ -280,7 +279,7 @@ def active_region(word: Word, tail: Word) -> ActiveRegion:
         # fewer entries clear a higher bar, so once a bar fails every higher
         # one fails too: try the bars in increasing order, stop at a failure
         for bar, i1 in sorted((max(word[i1], v2), i1) for i1 in range(i2)):
-            if bar > widths[i2] and not contains_pattern([v for v in rest if v > bar], tau):
+            if bar > widths[i2] and not contains_pattern([v for v in rest if v > bar], tail):
                 break
             widths[i2] = bar
             active.update(((i1 + 1, word[i1]), (i2 + 1, v2)))
