@@ -19,9 +19,12 @@ both sides alike.  ``BENCH_<pr>.json`` at the repository root receives both
 shas, every run's end-to-end metrics and, per metric, the median and
 quartiles of each side, the relative change of the medians, the number
 of pairs in which the head was better, whether the head's median is worse
-than the base's by more than the metric's ``bound`` (``worse_than_bound``)
-and whether it lies outside the base's quartiles
-(``outside_base_quartiles``).  Each run also keeps, per op kind, the
+than the base's by more than the metric's ``bound`` (``worse_than_bound``),
+whether it lies outside the base's quartiles (``outside_base_quartiles``)
+and whether the pairs show a gain (``gain_shown``): at least ten pairs,
+the head better in at least nine tenths of them (ties count for neither
+side), and the head's median better than the base's by more than the
+distance between the base's quartiles.  Each run also keeps, per op kind, the
 median latency ``p50_ms`` and the total ``total_s`` from perfbench's
 ``meta`` line, with ``s_per_round``, that total divided by the run's
 rounds; each workload's ``per_kind`` holds both sides' medians of these
@@ -99,6 +102,7 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         b, h = spread(base), spread(head)
         better = sum((y > x) if higher else (y < x) for x, y in zip(base, head))
         worse = b["median"] - h["median"] if higher else h["median"] - b["median"]
+        pairs = len(runs)
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -109,6 +113,7 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             "pairs_head_better": better,
             "worse_than_bound": worse > metric["bound"] * abs(b["median"]),
             "outside_base_quartiles": not b["q1"] <= h["median"] <= b["q3"],
+            "gain_shown": pairs >= 10 and 10 * better >= 9 * pairs and -worse > b["q3"] - b["q1"],
         }
     return out
 

@@ -4,8 +4,9 @@ Three maps live here: the insertion-tableau bijection between avoiders of
 an increasing length-4 pattern and doubly alternating avoiders of twice the
 size; the block decomposition onto Dyck paths; and the active-region
 rewiring between the 12-prefixed and 21-prefixed avoiding families.
-Active regions are read with the one pattern matcher,
-``permcore.contains_pattern``; this module runs no search of its own.
+Active regions are read with the one pattern matcher, on the tail's plan
+compiled once per region (``kernels.occurs``); this module runs no search
+of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .involutions import (
     rsk_matrix,
     rsk_matrix_inverse,
 )
+from .kernels import Plan, compile_pattern, occurs
 from .permcore import (
     PatternSet,
     Word,
@@ -269,6 +271,12 @@ def active_region(word: Word, tail: Word) -> ActiveRegion:
     """
     if not is_doubly_alternating(word):
         raise NotInDomain(f"{word} is not doubly alternating")
+    return _active_region(word, compile_pattern(tail))
+
+
+def _active_region(word: Word, tail: Plan) -> ActiveRegion:
+    """``active_region`` of a word already known to be doubly alternating,
+    with the tail compiled."""
     n = len(word)
     active = set()
     widths = [0] * n  # widths[i2]: the widest rectangle of a pair ending at i2
@@ -279,7 +287,7 @@ def active_region(word: Word, tail: Word) -> ActiveRegion:
         # fewer entries clear a higher bar, so once a bar fails every higher
         # one fails too: try the bars in increasing order, stop at a failure
         for bar, i1 in sorted((max(word[i1], v2), i1) for i1 in range(i2)):
-            if bar > widths[i2] and not contains_pattern([v for v in rest if v > bar], tail):
+            if bar > widths[i2] and not occurs([v for v in rest if v > bar], tail):
                 break
             widths[i2] = bar
             active.update(((i1 + 1, word[i1]), (i2 + 1, v2)))
@@ -373,7 +381,8 @@ def placements_bruteforce(
 
 
 def _rewire(word: Word, tail: Word, direction: Literal["increasing", "decreasing"]) -> Word:
-    region = active_region(word, tail)
+    """Replace the active region's placement; word is doubly alternating."""
+    region = _active_region(word, compile_pattern(tail))
     replacement = unique_monotone_placement(
         region.diagram, region.rows(), region.cols(), direction
     )

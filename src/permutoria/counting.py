@@ -25,7 +25,7 @@ def enumerate_avoiders(
 ) -> Iterator[Word]:
     """Yield S_n(patterns) exactly once each, in lexicographic order."""
     enforce(limits, "enumeration", "n", n)
-    return kernels.avoiding_words(n, patterns.patterns, kernels.unused_values)
+    return kernels.avoiding_words(n, patterns.plans, kernels.unused_values)
 
 
 def count_avoiders(n: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -39,8 +39,8 @@ def enumerate_da(
 ) -> Iterator[Word]:
     """Yield DA_n(patterns) in lexicographic order (patterns optional)."""
     enforce(limits, "da", "n", n)
-    pats = patterns.patterns if patterns is not None else ()
-    return kernels.avoiding_words(n, pats, kernels.da_values)
+    plans = patterns.plans if patterns is not None else ()
+    return kernels.avoiding_words(n, plans, kernels.da_values)
 
 
 def count_da(n: int, patterns: PatternSet | None = None, limits: Limits = DEFAULT_LIMITS) -> int:

@@ -1,17 +1,25 @@
 """The pattern matcher, the backtracking driver and the counting kernels.
 
 One matcher, ``_ends_at_last``, answers the question every search here
-asks: does a pattern occurrence end at the entry just placed?  Each caller
-compiles its patterns once per call with ``compile_pattern``.  A plan names,
-for every slot of the pattern, the two slots holding the nearest pattern
-values below and above it, so the matcher tests a candidate value with two
-comparisons instead of one per slot matched so far, and it records how
-later slots read each slot, so backtracking retries a slot only with
-values that can help them.
+asks: does a pattern occurrence end at the entry just placed?  It runs on
+plans that ``compile_pattern`` builds once per pattern; a ``PatternSet``
+holds the plans of its patterns, and ``occurs`` is the entry point for a
+whole word.  A plan names, for every slot of the pattern, the two slots
+holding the nearest pattern values below and above it, so the matcher
+tests a candidate value with two comparisons instead of one per slot
+matched so far, and it records how later slots read each slot, so
+backtracking retries a slot only with values that can help them.
 
 One driver, ``avoiding_words``, places entries left to right from a
-caller's candidate values and prunes a prefix as soon as the matcher
-fires.  The plain counters ``count_avoiders_py`` and ``count_da_py``, the
+caller's candidate values.  It keeps a prefix only while every value the
+prefix has not used can still follow it: appending such a value must
+complete no occurrence.  That prune is sound for every caller, because
+each word is a permutation of 1..n, so every unused value is placed after
+the prefix sooner or later, and an occurrence that ends at u right after
+the prefix still ends at u wherever u lands.  The prefix it extends passed
+the same test, so a new failure must put the new entry in the pattern's
+second-to-last slot, and only unused values on one side of it need
+testing.  The plain counters ``count_avoiders_py`` and ``count_da_py``, the
 enumerators in ``counting`` and the extensions of a partial permutation in
 ``permcore`` all run on that driver.
 
@@ -34,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 Pattern = tuple[int, ...]
 Candidates = Callable[[list[int], list[bool], int], Iterable[int]]
-Plan = tuple[int, tuple[tuple[int | None, int | None, int], ...]]
+Plan = tuple[int, tuple[tuple[int | None, int | None, int], ...], bool]
 
 _BELOW_ALL = float("-inf")  # the bound of a slot with no lower neighbour
 _ABOVE_ALL = float("inf")  # and of one with no upper neighbour
@@ -42,7 +50,7 @@ _FLOOR, _CEILING = 1, 2  # how later slots read a slot's value: the reads mask
 
 
 def compile_pattern(pat: Sequence[int]) -> Plan:
-    """The plan of ``_ends_at_last`` for pat: ``(m, ((lo, hi, reads), ...))``.
+    """The plan of ``_ends_at_last`` for pat: ``(m, ((lo, hi, reads), ...), rises)``.
 
     Entry s serves slot s < m - 1.  ``lo`` and ``hi`` name where the values
     nearest to pat[s] below and above it sit among pat[:s] and the last
@@ -50,6 +58,8 @@ def compile_pattern(pat: Sequence[int]) -> Plan:
     when there is no such value.  ``reads`` says how later slots use slot
     s's value: ``_FLOOR`` if some later slot has it as its ``lo``,
     ``_CEILING`` if some has it as its ``hi``, both bits or neither.
+    ``rises`` says whether pat ends in a rise, pat[m-2] < pat[m-1]; the
+    driver reads it, the matcher does not.
     """
     m = len(pat)
     los: list[int | None] = []
@@ -71,7 +81,7 @@ def compile_pattern(pat: Sequence[int]) -> Plan:
             reads[lo] |= _FLOOR
         if hi is not None and hi >= 0:
             reads[hi] |= _CEILING
-    return m, tuple(zip(los, his, reads))
+    return m, tuple(zip(los, his, reads)), m > 1 and pat[-2] < pat[-1]
 
 
 def _ends_at_last(word: Sequence[int], length: int, plan: Plan) -> bool:
@@ -96,7 +106,7 @@ def _ends_at_last(word: Sequence[int], length: int, plan: Plan) -> bool:
     s, its leftmost fit is final and the search backs up past it.  Every
     position is tested with the same two comparisons.
     """
-    m, bounds = plan
+    m, bounds, _ = plan
     if m > length:
         return False
     if m == 1:
@@ -141,46 +151,83 @@ def _ends_at_last(word: Sequence[int], length: int, plan: Plan) -> bool:
         pos += 1
 
 
+def occurs(word: Sequence[int], plan: Plan) -> bool:
+    """Does the compiled pattern occur anywhere in word?  The empty pattern
+    occurs in every word."""
+    m = plan[0]
+    if not m:
+        return True
+    return any(_ends_at_last(word, k, plan) for k in range(m, len(word) + 1))
+
+
+def _completes(
+    word: list[int], used: list[bool], length: int, plans: Sequence[Plan], values: range
+) -> bool:
+    """Does appending some unused value of values to word[:length] complete
+    an occurrence of one of plans?  word[length] is scratch space."""
+    for plan in plans:
+        for u in values:
+            if not used[u]:
+                word[length] = u
+                if _ends_at_last(word, length + 1, plan):
+                    return True
+    return False
+
+
 def avoiding_words(
-    n: int, patterns: Sequence[Pattern], candidates: Candidates
+    n: int, plans: Sequence[Plan], candidates: Candidates
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the words of length n whose prefixes all avoid patterns.
+    """Yield the permutations of 1..n that avoid the compiled patterns.
 
     Position pos is filled with each value of ``candidates(word, used, pos)``
     in turn, where word[:pos] is the prefix and ``used[v]`` marks the values
-    in it; candidates must be unused values.  A prefix is dropped as soon as
-    a pattern occurrence ends at its last entry, which is sound because
-    containment is monotone under extension.  Words come out in the order
+    in it; candidates must be unused values.  Words come out in the order
     the candidates give.
+
+    A prefix is kept only if appending any value it has not used completes
+    no occurrence.  Every unused value follows the prefix in every word that
+    extends it, so a prefix that fails has no avoiding completion; and each
+    kept prefix X + v has no occurrence ending at v, since v was unused when
+    X was tested.  So the words and their order are those of the plain
+    search that drops a prefix once an occurrence ends at its last entry.
+    An occurrence new to X + v + u must use v, in the pattern's
+    second-to-last slot: only the unused values above v are tested for
+    patterns ending in a rise, and only those below v for the rest.  The
+    empty prefix tests every value (a pattern of length 1 occurs in every
+    nonempty word), and a full word needs no test.
     """
-    plans = [compile_pattern(p) for p in patterns]
+    rising = [plan for plan in plans if plan[2]]
+    falling = [plan for plan in plans if not plan[2]]
     word = [0] * n
     used = [False] * (n + 1)
     if n == 0:
         yield ()
+        return
+    if _completes(word, used, 0, plans, range(1, n + 1)):
         return
     # one candidate iterator per filled position; word[pos] is the value
     # taken from stack[pos], marked in used while deeper positions are open
     stack = [iter(candidates(word, used, 0))]
     while stack:
         pos = len(stack) - 1
+        length = pos + 1
         for v in stack[pos]:
             word[pos] = v
-            for plan in plans:
-                if _ends_at_last(word, pos + 1, plan):
-                    break
-            else:
+            if length == n or not (
+                _completes(word, used, length, rising, range(v + 1, n + 1))
+                or _completes(word, used, length, falling, range(1, v))
+            ):
                 break
         else:
             stack.pop()
             if pos:
                 used[word[pos - 1]] = False
             continue
-        if pos + 1 == n:
+        if length == n:
             yield tuple(word)
         else:
             used[v] = True
-            stack.append(iter(candidates(word, used, pos + 1)))
+            stack.append(iter(candidates(word, used, length)))
 
 
 def unused_values(word: list[int], used: list[bool], pos: int) -> Iterator[int]:
@@ -190,7 +237,7 @@ def unused_values(word: list[int], used: list[bool], pos: int) -> Iterator[int]:
 
 def count_avoiders_py(n: int, patterns: Sequence[Pattern]) -> int:
     """|S_n(patterns)| by pruned backtracking."""
-    return sum(1 for _ in avoiding_words(n, patterns, unused_values))
+    return sum(1 for _ in avoiding_words(n, [compile_pattern(p) for p in patterns], unused_values))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +433,7 @@ def da_values(word: list[int], used: list[bool], pos: int) -> Iterator[int]:
 
 def count_da_py(n: int, patterns: Sequence[Pattern]) -> int:
     """|DA_n(patterns)| by pruned backtracking (patterns may be empty)."""
-    return sum(1 for _ in avoiding_words(n, patterns, da_values))
+    return sum(1 for _ in avoiding_words(n, [compile_pattern(p) for p in patterns], da_values))
 
 
 # counting goes through these names, so a tracer can wrap them

@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import ZeroObject
-from .kernels import Plan, _ends_at_last, avoiding_words, compile_pattern
+from .kernels import Plan, _ends_at_last, avoiding_words, compile_pattern, occurs
 
 Word = tuple[int, ...]
 GappedWord = tuple  # entries int or None
@@ -94,10 +94,7 @@ def contains_pattern(word: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains_pattern((7, 9, 3, 8, 1, 10, 5, 6, 2, 4), (1, 2, 3, 4))
     False
     """
-    if not pattern:
-        return True
-    plan = compile_pattern(pattern)
-    return any(_ends_at_last(word, k, plan) for k in range(len(pattern), len(word) + 1))
+    return occurs(word, compile_pattern(pattern))
 
 
 def contains_pattern_bruteforce(word: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -121,10 +118,13 @@ class PatternSet:
     """A normalized, nonempty set of patterns.
 
     Patterns containing another pattern of the set are redundant for
-    avoidance and are dropped at construction.
+    avoidance and are dropped at construction.  ``plans`` holds the
+    matcher's compiled plan of each pattern, in the same order; it takes no
+    part in equality or hashing.
     """
 
     patterns: tuple[Word, ...]
+    plans: tuple[Plan, ...] = field(compare=False, repr=False)
 
     def __init__(self, patterns):
         pats = {tuple(p) for p in patterns}
@@ -138,9 +138,9 @@ class PatternSet:
             for p in pats
             if not any(q != p and contains_pattern(p, q) for q in pats)
         }
-        object.__setattr__(
-            self, "patterns", tuple(sorted(minimal, key=lambda p: (len(p), p)))
-        )
+        patterns = tuple(sorted(minimal, key=lambda p: (len(p), p)))
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "plans", tuple(compile_pattern(p) for p in patterns))
 
     @classmethod
     def parse(cls, text: str) -> "PatternSet":
@@ -165,7 +165,7 @@ class PatternSet:
 
 def avoids_all(word: Sequence[int], patterns: PatternSet) -> bool:
     """True iff word avoids every pattern of the set."""
-    return not any(contains_pattern(word, p) for p in patterns)
+    return not any(occurs(word, plan) for plan in patterns.plans)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ def extensions(pp: PartialPermutation, patterns: PatternSet) -> Iterator[Word]:
         low = cols + 1 if pos < rows else 1
         return (v for v in range(low, n + 1) if not used[v])
 
-    return avoiding_words(n, patterns.patterns, candidates)
+    return avoiding_words(n, patterns.plans, candidates)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -466,7 +466,7 @@ def _insert_row(pp: PartialPermutation, site: int) -> PartialPermutation:
     return PartialPermutation._trusted(pp.rows + 1, pp.cols, dots)
 
 
-def _admits(words: list[Word], inserts: Sequence[tuple[int, int]], plans: list[Plan]) -> bool:
+def _admits(words: list[Word], inserts: Sequence[tuple[int, int]], plans: Sequence[Plan]) -> bool:
     """Does inserting value b at index i into some extension keep it an avoider?
 
     Entries >= b are raised by one first.  Each word avoids the compiled
@@ -515,18 +515,17 @@ def children_with_kinds(
                 out.append(("dot", child))
         return tuple(out)
     exts = list(extensions(pp, patterns))
-    plans = [compile_pattern(p) for p in patterns.patterns]
     n, top = pp.size, pp.cols + 1
     dot_ok: dict[int, bool] = {}
     if not empties:
         for site in range(1, pp.rows + 2):
-            dot_ok[site] = _admits(exts, ((site - 1, top),), plans)
+            dot_ok[site] = _admits(exts, ((site - 1, top),), patterns.plans)
             if dot_ok[site]:
                 out.append(("dot", _insert_dot(pp, site)))
         # the bottom dot child is the column child with its new column
         # entry in the first row below pp
         if dot_ok[pp.rows + 1] or _admits(
-            exts, [(i, top) for i in range(pp.rows + 1, n + 1)], plans
+            exts, [(i, top) for i in range(pp.rows + 1, n + 1)], patterns.plans
         ):
             out.append(("column", PartialPermutation._trusted(pp.rows, pp.cols + 1, pp.dots)))
     if rule == "standard-extended":
@@ -540,7 +539,7 @@ def children_with_kinds(
         # can only take the value cols + 1: the dot child's insertion
         ok = dot_ok.get(site)
         if ok is None:
-            ok = _admits(exts, [(site - 1, b) for b in range(top, n + 2)], plans)
+            ok = _admits(exts, [(site - 1, b) for b in range(top, n + 2)], patterns.plans)
         if ok:
             out.append(("row", _insert_row(pp, site)))
     return tuple(out)

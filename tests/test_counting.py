@@ -184,3 +184,17 @@ class TestConjectures:
         assert report.all_match
         report = ct.conjecture_report("P1-8.3", 8, L)
         assert report.all_match
+
+    @pytest.mark.parametrize(
+        "name, tail",
+        [
+            ("P1-8.2", (136, 233, 356, 610)),  # F_{n-1} - F_{n-7} at odd n, F_{n-1} at even n
+            ("P1-8.3", (352, 429, 1230, 1430)),  # fourth differences of Catalan, C_{n/2}
+        ],
+    )
+    def test_closed_forms_to_sixteen(self, name, tail):
+        report = ct.conjecture_report(name, 16, Limits(da=16))
+        rows = report.rows[12:]
+        assert [row.n for row in rows] == [13, 14, 15, 16]
+        assert [row.observed for row in rows] == [row.predicted for row in rows] == list(tail)
+        assert report.all_match

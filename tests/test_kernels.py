@@ -11,7 +11,7 @@ import gc
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permutoria import counting, kernels
@@ -77,6 +77,35 @@ def test_matcher_matches_bruteforce_at_every_end(w, p):
     plan = kernels.compile_pattern(p)
     for k in range(1, len(w) + 1):
         assert kernels._ends_at_last(w, k, plan) == ends_at_bruteforce(w, k, p), (w, k, p)
+
+
+def compiled(patterns):
+    return [kernels.compile_pattern(p) for p in patterns]
+
+
+pattern_sets = st.lists(pattern, min_size=0, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), pattern_sets)
+@example(1, [(1,)])  # only the empty prefix's test refuses a length-1 pattern here
+@example(3, [(1,)])
+def test_driver_matches_bruteforce_list(n, patterns):
+    # the pruned driver yields exactly the avoiders, in lexicographic order
+    got = list(kernels.avoiding_words(n, compiled(patterns), kernels.unused_values))
+    assert got == [w for w in itertools.permutations(range(1, n + 1)) if brute_avoids(w, patterns)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), pattern_sets)
+@example(4, [(1, 2, 3), (3, 2, 1)])
+def test_da_driver_matches_bruteforce_list(n, patterns):
+    got = list(kernels.avoiding_words(n, compiled(patterns), kernels.da_values))
+    assert got == [
+        w
+        for w in itertools.permutations(range(1, n + 1))
+        if is_doubly_alternating(w) and brute_avoids(w, patterns)
+    ]
 
 
 @settings(max_examples=40, deadline=None)

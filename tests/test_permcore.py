@@ -234,6 +234,24 @@ class TestExtendability:
                 got = list(pc.extensions(pp, ps))
                 assert len(got) == len(expect) and set(got) == expect, (pp, text)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.lists(short_pattern, min_size=1, max_size=3))
+    def test_extensions_match_bruteforce_list_random(self, data, patterns):
+        ps = pc.PatternSet(patterns)
+        rows = data.draw(st.integers(0, 6))
+        cols = data.draw(st.integers(0, 7 - rows))
+        d = data.draw(st.integers(0, min(rows, cols)))
+        dot_rows = data.draw(st.permutations(range(1, rows + 1)))[:d]
+        dot_cols = data.draw(st.permutations(range(1, cols + 1)))[:d]
+        pp = pc.PartialPermutation(rows, cols, tuple(zip(dot_rows, dot_cols)))
+        expect = [
+            w
+            for w in perms(pp.size)
+            if self.has_nw_corner(w, pp)
+            and not any(pc.contains_pattern_bruteforce(w, p) for p in ps)
+        ]
+        assert list(pc.extensions(pp, ps)) == expect, (pp, ps)
+
 
 class TestParentChildren:
     def test_standard_parent(self):
