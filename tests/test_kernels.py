@@ -1,6 +1,7 @@
 """The counting kernels against their oracles.
 
 The matcher must equal an exhaustive search at every end position, the
+pruned driver must yield brute force's avoiders in the same order, the
 plain counters must equal brute force over all permutations, the
 memoised counter must equal the plain one, and ``counting`` must count
 through the memoised engine on every input, however long or many the
