@@ -4,14 +4,14 @@ Three maps live here: the insertion-tableau bijection between avoiders of
 an increasing length-4 pattern and doubly alternating avoiders of twice the
 size; the block decomposition onto Dyck paths; and the active-region
 rewiring between the 12-prefixed and 21-prefixed avoiding families.
-Active regions are read with the one pattern matcher, on the tail's plan
-compiled once per region (``kernels.occurs``); this module runs no search
-of its own.
+Active regions are read with the one pattern matcher, on plans compiled
+once per tail (``kernels.occurs``); this module runs no search of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, Sequence
 
 from .errors import (
@@ -271,7 +271,7 @@ def active_region(word: Word, tail: Word) -> ActiveRegion:
     """
     if not is_doubly_alternating(word):
         raise NotInDomain(f"{word} is not doubly alternating")
-    return _active_region(word, compile_pattern(tail))
+    return _active_region(word, _tail_plans(tuple(tail))[2])
 
 
 def _active_region(word: Word, tail: Plan) -> ActiveRegion:
@@ -380,9 +380,16 @@ def placements_bruteforce(
     return out
 
 
-def _rewire(word: Word, tail: Word, direction: Literal["increasing", "decreasing"]) -> Word:
-    """Replace the active region's placement; word is doubly alternating."""
-    region = _active_region(word, compile_pattern(tail))
+@lru_cache(maxsize=64)
+def _tail_plans(tail: Word) -> tuple[Plan, Plan, Plan]:
+    """The compiled patterns 12tau, 21tau and tau of one tail."""
+    return compile_pattern((1, 2) + tail), compile_pattern((2, 1) + tail), compile_pattern(tail)
+
+
+def _rewire(word: Word, tail: Plan, direction: Literal["increasing", "decreasing"]) -> Word:
+    """Replace the active region's placement; word is doubly alternating and
+    tail is compiled."""
+    region = _active_region(word, tail)
     replacement = unique_monotone_placement(
         region.diagram, region.rows(), region.cols(), direction
     )
@@ -395,20 +402,22 @@ def _rewire(word: Word, tail: Word, direction: Literal["increasing", "decreasing
 def psi(word: Word, tail: Word) -> Word:
     """12tau-avoiding doubly alternating to 21tau-avoiding, fixing every dot
     outside the active region."""
-    pat12, pat21 = (1, 2) + tuple(tail), (2, 1) + tuple(tail)
-    if not is_doubly_alternating(word) or contains_pattern(word, pat12):
-        raise NotInDomain(f"{word} is not a doubly alternating {pat12}-avoider")
-    image = _rewire(word, tail, "increasing")
-    if contains_pattern(image, pat21) or not is_doubly_alternating(image):
+    tail = tuple(tail)
+    plan12, plan21, plan_tail = _tail_plans(tail)
+    if not is_doubly_alternating(word) or occurs(word, plan12):
+        raise NotInDomain(f"{word} is not a doubly alternating {(1, 2) + tail}-avoider")
+    image = _rewire(word, plan_tail, "increasing")
+    if occurs(image, plan21) or not is_doubly_alternating(image):
         raise AssertionError(f"image {image} left the target family")
     return image
 
 
 def psi_inverse(word: Word, tail: Word) -> Word:
-    pat12, pat21 = (1, 2) + tuple(tail), (2, 1) + tuple(tail)
-    if not is_doubly_alternating(word) or contains_pattern(word, pat21):
-        raise NotInDomain(f"{word} is not a doubly alternating {pat21}-avoider")
-    image = _rewire(word, tail, "decreasing")
-    if contains_pattern(image, pat12) or not is_doubly_alternating(image):
+    tail = tuple(tail)
+    plan12, plan21, plan_tail = _tail_plans(tail)
+    if not is_doubly_alternating(word) or occurs(word, plan21):
+        raise NotInDomain(f"{word} is not a doubly alternating {(2, 1) + tail}-avoider")
+    image = _rewire(word, plan_tail, "decreasing")
+    if occurs(image, plan12) or not is_doubly_alternating(image):
         raise AssertionError(f"image {image} left the target family")
     return image

@@ -40,11 +40,11 @@ from .tableau import (
     companion,
     complement_in_box,
     contains,
-    enumerate_lr,
     enumerate_ssyt,
     grid_rows,
     is_anti_lr,
     is_lr,
+    lr_search,
     normalize,
     partitions_of,
     recording_matrix,
@@ -444,11 +444,12 @@ def rsk_matrix_inverse(p: SkewTableau, q: SkewTableau) -> tuple[tuple[int, ...],
     nrows, ncols = q.letters, p.letters
     matrix = [[0] * ncols for _ in range(nrows)]
     p_rows = [list(r) for r in p.rows]
+    # recording cells, largest entry first and rightmost first among equals
+    # (equal entries of q lie in distinct columns, so the row never decides)
     cells = sorted(
-        ((v, pos[1], pos[0]) for pos, v in _grid(q).items()),
-        key=lambda t: (-t[0], -t[1]),
+        ((v, c, r) for r, row in enumerate(q.rows) for c, v in enumerate(row)), reverse=True
     )
-    for i_val, c0, r0 in cells:
+    for i_val, _c, r0 in cells:
         x = p_rows[r0].pop()
         if not p_rows[r0]:
             p_rows.pop()
@@ -655,11 +656,13 @@ def omega_bk(t: SkewTableau) -> SkewTableau:
 
 
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Number of Littlewood-Richardson fillings of lam/mu with weight nu."""
+    """Number of Littlewood-Richardson fillings of lam/mu with weight nu,
+    counted by ``lr_search`` (the search behind ``enumerate_lr``) without
+    building a tableau."""
     lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if not contains(lam, mu) or sum(lam) - sum(mu) != sum(nu):
+    if not contains(lam, mu):
         return 0
-    return sum(1 for _ in enumerate_lr(lam, mu, nu))
+    return lr_search(lam, mu, nu)
 
 
 def schur_polynomial(shape: Partition, nvars: int) -> dict[tuple[int, ...], int]:

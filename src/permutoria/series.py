@@ -183,6 +183,11 @@ def catalan_series(orders: Orders) -> MultiSeries:
 #           term   := factor (('*'|'/') factor)*
 #           factor := base ('^' integer)?
 #           base   := integer | 'x' | 'y' | 'z' | 'c(x)' | '(' expr ')' | '-' base
+#
+# The parse tree may be at most MAX_FORMULA_DEPTH levels high, counting a
+# parenthesised group as one level: the parser and _eval recurse along it.
+
+MAX_FORMULA_DEPTH = 100
 
 _TOKEN = re.compile(r"\s*(c\(x\)|\d+|[xyz+*/^()-])")
 
@@ -196,7 +201,7 @@ class RationalExpr:
     @classmethod
     def parse(cls, text: str) -> "RationalExpr":
         tokens = _tokenize(text)
-        node, rest = _parse_expr(tokens)
+        node, _height, rest = _parse_expr(tokens, 0)
         if rest:
             raise ValueError(f"trailing input: {rest}")
         return cls(node)
@@ -219,52 +224,66 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse_expr(tokens: list[str]):
-    node, tokens = _parse_term(tokens)
+def _capped(levels: int) -> int:
+    if levels > MAX_FORMULA_DEPTH:
+        raise ValueError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+    return levels
+
+
+# Each parser takes the number of groups and signs around its input (which
+# bounds the recursion on the way down) and returns (node, height, rest),
+# the height bounding the tree on the way up.
+
+
+def _parse_expr(tokens: list[str], depth: int):
+    node, height, tokens = _parse_term(tokens, depth)
     while tokens and tokens[0] in "+-":
         op = tokens[0]
-        right, tokens = _parse_term(tokens[1:])
+        right, right_height, tokens = _parse_term(tokens[1:], depth)
         node = ("add" if op == "+" else "sub", node, right)
-    return node, tokens
+        height = _capped(max(height, right_height) + 1)
+    return node, height, tokens
 
 
-def _parse_term(tokens: list[str]):
-    node, tokens = _parse_factor(tokens)
+def _parse_term(tokens: list[str], depth: int):
+    node, height, tokens = _parse_factor(tokens, depth)
     while tokens and tokens[0] in "*/":
         op = tokens[0]
-        right, tokens = _parse_factor(tokens[1:])
+        right, right_height, tokens = _parse_factor(tokens[1:], depth)
         node = ("mul" if op == "*" else "div", node, right)
-    return node, tokens
+        height = _capped(max(height, right_height) + 1)
+    return node, height, tokens
 
 
-def _parse_factor(tokens: list[str]):
-    node, tokens = _parse_base(tokens)
+def _parse_factor(tokens: list[str], depth: int):
+    node, height, tokens = _parse_base(tokens, depth)
     if tokens and tokens[0] == "^":
         if not tokens[1:] or not tokens[1].isdigit():
             raise ValueError("exponent must be a nonnegative integer")
         node = ("pow", node, int(tokens[1]))
+        height = _capped(height + 1)
         tokens = tokens[2:]
-    return node, tokens
+    return node, height, tokens
 
 
-def _parse_base(tokens: list[str]):
+def _parse_base(tokens: list[str], depth: int):
     if not tokens:
         raise ValueError("unexpected end of formula")
     tok = tokens[0]
     if tok == "-":
-        node, rest = _parse_base(tokens[1:])
-        return ("neg", node), rest
+        node, height, rest = _parse_base(tokens[1:], _capped(depth + 1))
+        return ("neg", node), _capped(height + 1), rest
     if tok == "(":
-        node, rest = _parse_expr(tokens[1:])
+        node, height, rest = _parse_expr(tokens[1:], _capped(depth + 1))
         if not rest or rest[0] != ")":
             raise ValueError("unbalanced parentheses")
-        return node, rest[1:]
+        return node, _capped(height + 1), rest[1:]
     if tok == "c(x)":
-        return ("cx",), tokens[1:]
+        return ("cx",), 1, tokens[1:]
     if tok.isdigit():
-        return ("int", int(tok)), tokens[1:]
+        return ("int", int(tok)), 1, tokens[1:]
     if tok in "xyz":
-        return ("var", tok), tokens[1:]
+        return ("var", tok), 1, tokens[1:]
     raise ValueError(f"unexpected token {tok!r}")
 
 

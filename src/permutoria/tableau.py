@@ -5,13 +5,18 @@ own shape and one for the companion side, whose height is the letter bound.
 All 180-degree rotations are taken with respect to these boxes, which is
 what makes rotation an involution.  Weight vectors have fixed length equal
 to the companion box height.
+
+The Littlewood-Richardson filling rule is stated once, in ``lr_search``:
+``enumerate_lr`` builds a tableau at each filling it reaches, and
+``involutions.lr_coefficient`` counts the fillings without building them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import ge, le, lt, sub
+from typing import Callable, Iterator, Sequence
 
 from .errors import NotATableau, NotDominant
 
@@ -26,22 +31,27 @@ FLIP_ORIENTATION = {"lr": "anti", "anti": "lr", None: None}
 
 
 def is_partition(parts: Sequence[int]) -> bool:
-    return all(a >= b for a, b in zip(parts, parts[1:])) and all(p > 0 for p in parts)
+    """Weakly decreasing and positive: a weakly decreasing sequence is
+    positive exactly when its last part is."""
+    return all(map(ge, parts, parts[1:])) and (not parts or parts[-1] > 0)
 
 
 def normalize(parts: Sequence[int]) -> Partition:
     """Drop trailing zeros; keep weak decrease."""
-    out = list(parts)
-    while out and out[-1] == 0:
-        out.pop()
+    out = tuple(parts)
+    end = len(out)
+    while end and out[end - 1] == 0:
+        end -= 1
+    if end < len(out):
+        out = out[:end]
     if not is_partition(out):
         raise ValueError(f"not a partition: {parts}")
-    return tuple(out)
+    return out
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
-    padded = inner + (0,) * (len(outer) - len(inner))
-    return len(inner) <= len(outer) and all(m <= l for m, l in zip(padded, outer))
+    """Whether the partition inner fits inside the partition outer."""
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def complement_in_box(parts: Partition, rows: int, cols: int) -> Partition:
@@ -112,18 +122,38 @@ class SkewTableau:
     orientation: str | None = None
 
     def __post_init__(self):
-        outer, inner = self.outer, self.inner
+        outer, inner, rows = self.outer, self.inner, self.rows
         if not contains(outer, inner):
             raise NotATableau(f"inner {inner} not contained in outer {outer}")
-        if len(self.rows) != len(outer):
+        if len(rows) != len(outer):
             raise NotATableau("row count does not match the shape")
         pad_inner = inner + (0,) * (len(outer) - len(inner))
         r1, c1 = self.box1
-        r2, c2 = self.box2
         if len(outer) > r1 or (outer and outer[0] > c1):
             raise NotATableau(f"shape {outer} does not fit its box {self.box1}")
+        # the checks below only decide; _name_fault names the fault
+        top = self.box2[0]
+        if list(map(len, rows)) != list(map(sub, outer, pad_inner)):
+            self._name_fault(pad_inner)
+        for row in rows:
+            # a weakly increasing row is within the letter bound exactly
+            # when its two end entries are
+            if row and not (1 <= row[0] and row[-1] <= top and all(map(le, row, row[1:]))):
+                self._name_fault(pad_inner)
+        for i in range(1, len(outer)):
+            # the columns rows i - 1 and i share, as slices of the two rows
+            p, q = pad_inner[i - 1], pad_inner[i]
+            lo = p if p > q else q
+            hi = outer[i] if outer[i] < outer[i - 1] else outer[i - 1]
+            if lo < hi and not all(map(lt, rows[i - 1][lo - p : hi - p], rows[i][lo - q : hi - q])):
+                self._name_fault(pad_inner)
+
+    def _name_fault(self, pad_inner: Partition) -> None:
+        """Raise for the first faulty row, entry or column, in the order
+        rows (length, order, letters) and then columns, left to right."""
+        r2 = self.box2[0]
         for i, row in enumerate(self.rows):
-            if len(row) != outer[i] - pad_inner[i]:
+            if len(row) != self.outer[i] - pad_inner[i]:
                 raise NotATableau(f"row {i} has the wrong length")
             for a, b in zip(row, row[1:]):
                 if a > b:
@@ -131,14 +161,15 @@ class SkewTableau:
             for v in row:
                 if not 1 <= v <= r2:
                     raise NotATableau(f"entry {v} outside letter bound {r2}")
-        for i in range(len(outer) - 1):
+        for i in range(len(self.outer) - 1):
             lo = max(pad_inner[i], pad_inner[i + 1])
-            hi = min(outer[i], outer[i + 1])
+            hi = min(self.outer[i], self.outer[i + 1])
             for col in range(lo, hi):
                 above = self.rows[i][col - pad_inner[i]]
                 below = self.rows[i + 1][col - pad_inner[i + 1]]
                 if above >= below:
                     raise NotATableau(f"column {col} not strictly increasing")
+        raise AssertionError("a tableau check failed but named no fault")
 
     @classmethod
     def _trusted(
@@ -543,6 +574,61 @@ def enumerate_ssyt(
     return fillings()
 
 
+def lr_search(
+    outer: Partition,
+    inner: Partition,
+    weight: Partition,
+    leaf: Callable[[list[int]], None] | None = None,
+) -> int:
+    """The number of Littlewood-Richardson fillings of outer/inner with the
+    given weight, all three normalized; the one search behind both
+    ``enumerate_lr`` and ``involutions.lr_coefficient``.
+
+    Cells are filled in reading order (rows top to bottom, each right to
+    left), so a cell's right neighbour and the cell above it are filled
+    before it, and the Yamanouchi condition prunes a prefix of the reading
+    word as soon as some letter v outnumbers v - 1 in it.  With ``leaf``,
+    each filling's reading word is passed to it, in lexicographic order of
+    the reading words; the list is reused, so copy what is kept.
+    """
+    if sum(outer) - sum(inner) != sum(weight):
+        return 0
+    pad = inner + (0,) * (len(outer) - len(inner))
+    letters = len(weight)
+    right: list[int] = []  # reading index of the right neighbour
+    above: list[int] = []  # reading index of the cell above
+    starts: list[int] = []
+    for i, (o, p) in enumerate(zip(outer, pad)):
+        starts.append(len(right))
+        for c in range(o - 1, p - 1, -1):
+            right.append(len(right) - 1 if c < o - 1 else -2)
+            above.append(starts[i - 1] + outer[i - 1] - 1 - c if i and c >= pad[i - 1] else -1)
+    size = len(right)
+    # word[-1] = 0 stands for "nothing above", word[-2] = letters for
+    # "nothing to the right"
+    word = [0] * size + [letters, 0]
+    cap = (0,) + weight
+    used = [size + 1] + [0] * letters  # used[0] never binds the Yamanouchi test
+
+    def fill(idx: int) -> int:
+        if idx == size:
+            if leaf is not None:
+                leaf(word)
+            return 1
+        found = 0
+        for v in range(word[above[idx]] + 1, word[right[idx]] + 1):
+            k = used[v]
+            # k < used[v - 1]: the reading word stays Yamanouchi
+            if k < cap[v] and k < used[v - 1]:
+                used[v] = k + 1
+                word[idx] = v
+                found += fill(idx + 1)
+                used[v] = k
+        return found
+
+    return fill(0)
+
+
 def enumerate_lr(
     outer: Partition,
     inner: Partition,
@@ -550,49 +636,25 @@ def enumerate_lr(
     box1: tuple[int, int] | None = None,
     box2: tuple[int, int] | None = None,
 ) -> Iterator[SkewTableau]:
-    """All Littlewood-Richardson fillings of outer/inner with the given weight.
-
-    Cells are filled in reading order so the Yamanouchi condition prunes
-    prefixes immediately.
-    """
+    """All Littlewood-Richardson fillings of outer/inner with the given
+    weight, found by ``lr_search`` and built as it reaches them."""
     outer = normalize(outer)
     inner = normalize(inner)
     weight = normalize(weight)
-    if sum(outer) - sum(inner) != sum(weight):
-        return iter(())
     pad_inner = inner + (0,) * (len(outer) - len(inner))
-    cells = []
-    for i in range(len(outer)):
-        for c in range(outer[i] - 1, pad_inner[i] - 1, -1):
-            cells.append((i, c))
-    grid: Grid = {}
-    remaining = list(weight)
-    prefix = [0] * (len(weight) + 1)
+    spans = []  # where each row's cells sit in the reading word
+    start = 0
+    for o, p in zip(outer, pad_inner):
+        spans.append((start, start + o - p))
+        start += o - p
     b1 = box1 or (len(outer), outer[0] if outer else 0)
     b2 = box2 or (len(weight), weight[0] if weight else 0)
     build = SkewTableau._trusted if _fits(outer, inner, b1, b2, len(weight)) else SkewTableau
+    out: list[SkewTableau] = []
 
-    def rec(idx: int) -> Iterator[SkewTableau]:
-        if idx == len(cells):
-            yield build(outer, inner, grid_rows(grid, outer, inner), b1, b2, "lr")
-            return
-        i, c = cells[idx]
-        lo, hi = 1, len(weight)
-        if (i, c + 1) in grid:
-            hi = min(hi, grid[(i, c + 1)])
-        if (i - 1, c) in grid:
-            lo = max(lo, grid[(i - 1, c)] + 1)
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and prefix[v] + 1 > prefix[v - 1]:
-                continue  # reading word would stop being Yamanouchi
-            remaining[v - 1] -= 1
-            prefix[v] += 1
-            grid[(i, c)] = v
-            yield from rec(idx + 1)
-            del grid[(i, c)]
-            prefix[v] -= 1
-            remaining[v - 1] += 1
+    def leaf(word: list[int]) -> None:
+        rows = tuple(tuple(word[a:b][::-1]) for a, b in spans)
+        out.append(build(outer, inner, rows, b1, b2, "lr"))
 
-    return rec(0)
+    lr_search(outer, inner, weight, leaf)
+    return iter(out)

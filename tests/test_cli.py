@@ -268,6 +268,19 @@ def test_malformed_input_is_one_line(capsys, argv):
     assert captured.err.count("\n") == 1 and "error: argument --" in captured.err
 
 
+@pytest.mark.parametrize(
+    "formula",
+    ["(" * 300 + "x" + ")" * 300, "+".join(["x"] * 1500), "-" * 1500 + "x"],
+    ids=["parentheses", "long-sum", "unary-minus"],
+)
+def test_deep_formula_is_one_line(capsys, formula):
+    with pytest.raises(SystemExit) as exc:
+        main(["series", f"--formula={formula}", "--orders", "3,0,0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "formula nested deeper than 100 levels" in captured.err
+
+
 def test_module_entry_point():
     proc = run_child("permutoria", "verify", "P3-sec2")
     assert proc.returncode == 0, proc.stderr

@@ -347,6 +347,30 @@ class TestCoefficients:
         assert iv.lr_coefficient((2, 2), (2, 2), ()) == 1
         assert iv.lr_coefficient((3, 1), (2, 1), ()) == 0
 
+    @staticmethod
+    def triples(max_size):
+        """(lam, mu, nu) with |lam| <= max_size, mu inside lam and
+        |nu| = |lam| - |mu|: the triples the P3-lr suite reads."""
+        for n in range(max_size + 1):
+            for lam in tb.partitions_of(n):
+                for mu_size in range(n + 1):
+                    for mu in tb.partitions_of(mu_size):
+                        if tb.contains(lam, mu):
+                            for nu in tb.partitions_of(n - mu_size):
+                                yield lam, mu, nu
+
+    def test_matches_ssyt_oracle(self):
+        # the oracle shares no search with lr_coefficient: it keeps the
+        # semistandard fillings of weight nu whose reading word is Yamanouchi
+        for lam, mu, nu in self.triples(6):
+            oracle = sum(1 for t in tb.enumerate_ssyt(lam, mu, weight=nu) if tb.is_lr(t))
+            assert iv.lr_coefficient(lam, mu, nu) == oracle, (lam, mu, nu)
+
+    def test_count_matches_enumeration(self):
+        for lam, mu, nu in self.triples(8):
+            fillings = list(tb.enumerate_lr(lam, mu, nu))
+            assert iv.lr_coefficient(lam, mu, nu) == len(fillings), (lam, mu, nu)
+
     def test_schur_product(self):
         assert iv.schur_product_check((1,), (1, 1), 4)
         assert iv.schur_product_check((2, 1), (2,), 4)

@@ -96,6 +96,16 @@ class TestParser:
         with pytest.raises(ValueError):
             RationalExpr.parse("q + 1")
 
+    def test_depth_cap(self):
+        # a parenthesised group is one level, so 99 groups around x reach
+        # the cap of 100 and one more group passes it
+        at_cap = {"(" * 99 + "x" + ")" * 99: 1, "-" * 99 + "x": -1, "+".join(["x"] * 100): 100}
+        for text, coefficient in at_cap.items():
+            assert expand_rational(text, (2, 0, 0)).univariate() == [0, coefficient, 0]
+        for text in ["(" * 100 + "x" + ")" * 100, "-" * 100 + "x", "+".join(["x"] * 101)]:
+            with pytest.raises(ValueError, match="formula nested deeper than 100 levels"):
+                RationalExpr.parse(text)
+
     def test_dump_deterministic(self):
         s = expand_rational("1/((1-x)*(1-y))", (2, 2, 0))
         assert s.dump() == expand_rational("1/((1-y)*(1-x))", (2, 2, 0)).dump()

@@ -59,6 +59,76 @@ class TestTableauBasics:
             assert tb.word_weight(tb.reading_word(t), 3) == t.weight()
 
 
+def fillings(outer, inner, alphabet):
+    """Every filling of outer/inner by the given letters, as rows."""
+    pad = inner + (0,) * (len(outer) - len(inner))
+    lengths = [o - p for o, p in zip(outer, pad)]
+    for flat in itertools.product(alphabet, repeat=sum(lengths)):
+        it = iter(flat)
+        yield tuple(tuple(itertools.islice(it, n)) for n in lengths)
+
+
+def is_semistandard(outer, inner, rows, letters):
+    """Reference predicate on a cell map: letters 1..letters, rows weakly
+    increasing left to right, columns strictly increasing downwards."""
+    pad = inner + (0,) * (len(outer) - len(inner))
+    cells = {(r, pad[r] + k): v for r, row in enumerate(rows) for k, v in enumerate(row)}
+    for (r, c), v in cells.items():
+        if not 1 <= v <= letters:
+            return False
+        if (r, c + 1) in cells and cells[(r, c + 1)] < v:
+            return False
+        if (r + 1, c) in cells and cells[(r + 1, c)] <= v:
+            return False
+    return True
+
+
+class TestValidation:
+    def test_accepts_exactly_the_semistandard_fillings(self):
+        # letters 0 and letters + 1 lie outside the bound on either side
+        shapes = tb.partitions_in_box(3, 3)
+        checked = 0
+        for outer in shapes:
+            for inner in shapes:
+                size = sum(outer) - sum(inner)
+                if not tb.contains(outer, inner):
+                    continue
+                for letters in (1, 2, 3):
+                    if (letters + 2) ** size > 4096:
+                        continue
+                    for rows in fillings(outer, inner, range(letters + 2)):
+                        try:
+                            tb.SkewTableau(outer, inner, rows, (3, 3), (letters, 9))
+                            accepted = True
+                        except NotATableau:
+                            accepted = False
+                        expected = is_semistandard(outer, inner, rows, letters)
+                        assert accepted == expected, (outer, inner, rows, letters)
+                        checked += 1
+        assert checked > 150000
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (((2, 1), (), ((1, 2), (2, 3)), (3, 3), (3, 3)), "row 1 has the wrong length"),
+            (((2, 1), (), ((2, 1), (2,)), (3, 3), (3, 3)), "row 0 not weakly increasing"),
+            (((2, 1), (), ((1, 4), (2,)), (3, 3), (3, 3)), "entry 4 outside letter bound 3"),
+            (((2, 1), (), ((0, 1), (2,)), (3, 3), (3, 3)), "entry 0 outside letter bound 3"),
+            (((2, 2), (), ((1, 2), (2, 2)), (3, 3), (3, 3)), "column 1 not strictly increasing"),
+            (((4, 1), (), ((1, 1, 1, 1), (2,)), (3, 3), (3, 3)), "shape (4, 1) does not fit its box (3, 3)"),
+            (((2, 1), (), ((1, 1), (2,), (3,)), (3, 3), (3, 3)), "row count does not match the shape"),
+            (((2, 1), (1, 1, 1), ((1,), ()), (3, 3), (3, 3)), "inner (1, 1, 1) not contained in outer (2, 1)"),
+            # the first fault in row order is the one named
+            (((2, 2), (), ((1, 1), (1, 0)), (3, 3), (3, 3)), "row 1 not weakly increasing"),
+            (((2, 2), (), ((1, 5), (1,)), (3, 3), (3, 3)), "entry 5 outside letter bound 3"),
+        ],
+    )
+    def test_each_rejection_names_its_fault(self, args, message):
+        with pytest.raises(NotATableau) as exc:
+            tb.SkewTableau(*args)
+        assert str(exc.value) == message
+
+
 class TestRecording:
     def test_round_trip(self):
         for t in tb.enumerate_ssyt((3, 2, 1), (1,), max_letter=3, box2=(3, 5)):
