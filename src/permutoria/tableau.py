@@ -42,8 +42,7 @@ def normalize(parts: Sequence[int]) -> Partition:
     end = len(out)
     while end and out[end - 1] == 0:
         end -= 1
-    if end < len(out):
-        out = out[:end]
+    out = out[:end]
     if not is_partition(out):
         raise ValueError(f"not a partition: {parts}")
     return out

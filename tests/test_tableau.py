@@ -272,12 +272,8 @@ class TestEnumeration:
         """Every filling by letters 1..letters in lexicographic order, kept
         when the validating constructor accepts it and no letter occurs more
         often than cap allows."""
-        pad = inner + (0,) * (len(outer) - len(inner))
-        lengths = [o - p for o, p in zip(outer, pad)]
         out = []
-        for flat in itertools.product(range(1, letters + 1), repeat=sum(lengths)):
-            it = iter(flat)
-            rows = tuple(tuple(itertools.islice(it, n)) for n in lengths)
+        for rows in fillings(outer, inner, range(1, letters + 1)):
             try:
                 t = tb.SkewTableau(outer, inner, rows, (3, 3), (letters, 9))
             except NotATableau:
