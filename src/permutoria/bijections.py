@@ -33,7 +33,6 @@ from .permcore import (
     PatternSet,
     Word,
     avoids_all,
-    contains_pattern,
     is_alternating,
     is_doubly_alternating,
     standardize,
@@ -175,12 +174,11 @@ def phi_inverse(word: Word) -> Word:
 # the Dyck path bijection
 
 
+_P2413 = PatternSet.parse("2413")
+
+
 def _in_theta_domain(word: Word) -> bool:
-    return (
-        len(word) % 2 == 0
-        and is_doubly_alternating(word)
-        and not contains_pattern(word, (2, 4, 1, 3))
-    )
+    return len(word) % 2 == 0 and is_doubly_alternating(word) and avoids_all(word, _P2413)
 
 
 def _blocks_top_down(word: Word) -> list[Word]:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: count, series, discover, biject, tableau, verify.  All output
-is deterministic for fixed flags and seed; the verify command exits nonzero
-exactly when a non-conjecture suite fails.
+is deterministic for fixed flags; the verify command exits nonzero exactly
+when a non-conjecture suite fails.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def cmd_tableau(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    scale = Scale(box=args.box, letters=args.letters, seed=args.seed)
+    scale = Scale(box=args.box, letters=args.letters)
     worst = 0
     for name in names:
         report = run_suite(name, scale)
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"bounding box for tableau suites, e.g. 4x4, at most {MAX_BOX_CELLS} cells",
     )
     p.add_argument("--letters", type=_at_least(1, MAX_LETTERS), default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

@@ -392,23 +392,30 @@ def count_avoiders_memo(n: int, patterns: Sequence[Pattern]) -> int:
                 out[i] = moves[i][state[i] * width + r] = nxt
         return tuple(out)
 
-    def rec(m: int, state: tuple) -> int:
-        if m == 0:
-            return 1
-        key = (m, state)
-        total = memo.get(key)
-        if total is None:
-            total = 0
-            for r in range(m):
-                nxt = child(state, r)
-                if nxt is not None:
-                    total += rec(m - 1, nxt)
-            memo[key] = total
-        return total
-
-    total = rec(n, (0,) * npats)
-    del rec  # rec refers to itself; unbinding it frees the tables now, not at the next gc pass
-    return total
+    # depth first over an explicit stack, so n is not bounded by the
+    # recursion limit; a frame is [values left, state, next value, total]
+    if n == 0:
+        return 1
+    stack: list[list] = [[n, (0,) * npats, 0, 0]]
+    while True:
+        frame = stack[-1]
+        m, state, r, total = frame
+        if r == m:
+            memo[(m, state)] = total
+            stack.pop()
+            if not stack:
+                return total
+            stack[-1][3] += total
+            continue
+        frame[2] = r + 1
+        nxt = child(state, r)
+        if nxt is None:
+            continue
+        sub = 1 if m == 1 else memo.get((m - 1, nxt))
+        if sub is None:
+            stack.append([m - 1, nxt, 0, 0])
+        else:
+            frame[3] = total + sub
 
 
 def da_values(word: list[int], used: list[bool], pos: int) -> Iterator[int]:

@@ -150,12 +150,6 @@ class PatternSet:
     def inverse(self) -> "PatternSet":
         return PatternSet([inverse(p) for p in self.patterns])
 
-    def reverse(self) -> "PatternSet":
-        return PatternSet([reverse(p) for p in self.patterns])
-
-    def complement(self) -> "PatternSet":
-        return PatternSet([complement(p) for p in self.patterns])
-
     def __iter__(self):
         return iter(self.patterns)
 
@@ -305,9 +299,6 @@ class PartialPermutation:
 
     def is_zero(self) -> bool:
         return self.rows == 0 and self.cols == 0
-
-    def transpose(self) -> "PartialPermutation":
-        return PartialPermutation(self.cols, self.rows, tuple((c, r) for r, c in self.dots))
 
     # -- constructors ---------------------------------------------------------
     @classmethod

@@ -201,9 +201,9 @@ class RationalExpr:
     @classmethod
     def parse(cls, text: str) -> "RationalExpr":
         tokens = _tokenize(text)
-        node, _height, rest = _parse_expr(tokens, 0)
-        if rest:
-            raise ValueError(f"trailing input: {rest}")
+        node, _height, pos = _parse_expr(tokens, 0, 0)
+        if pos < len(tokens):
+            raise ValueError(f"trailing input: {tokens[pos:]}")
         return cls(node)
 
     def evaluate(self, orders: Orders) -> MultiSeries:
@@ -230,60 +230,61 @@ def _capped(levels: int) -> int:
     return levels
 
 
-# Each parser takes the number of groups and signs around its input (which
-# bounds the recursion on the way down) and returns (node, height, rest),
-# the height bounding the tree on the way up.
+# Each parser takes the token list, the index of its first token and the
+# number of groups and signs around its input (which bounds the recursion on
+# the way down) and returns (node, height, index after its input), the
+# height bounding the tree on the way up.
 
 
-def _parse_expr(tokens: list[str], depth: int):
-    node, height, tokens = _parse_term(tokens, depth)
-    while tokens and tokens[0] in "+-":
-        op = tokens[0]
-        right, right_height, tokens = _parse_term(tokens[1:], depth)
+def _parse_expr(tokens: list[str], pos: int, depth: int):
+    node, height, pos = _parse_term(tokens, pos, depth)
+    while pos < len(tokens) and tokens[pos] in "+-":
+        op = tokens[pos]
+        right, right_height, pos = _parse_term(tokens, pos + 1, depth)
         node = ("add" if op == "+" else "sub", node, right)
         height = _capped(max(height, right_height) + 1)
-    return node, height, tokens
+    return node, height, pos
 
 
-def _parse_term(tokens: list[str], depth: int):
-    node, height, tokens = _parse_factor(tokens, depth)
-    while tokens and tokens[0] in "*/":
-        op = tokens[0]
-        right, right_height, tokens = _parse_factor(tokens[1:], depth)
+def _parse_term(tokens: list[str], pos: int, depth: int):
+    node, height, pos = _parse_factor(tokens, pos, depth)
+    while pos < len(tokens) and tokens[pos] in "*/":
+        op = tokens[pos]
+        right, right_height, pos = _parse_factor(tokens, pos + 1, depth)
         node = ("mul" if op == "*" else "div", node, right)
         height = _capped(max(height, right_height) + 1)
-    return node, height, tokens
+    return node, height, pos
 
 
-def _parse_factor(tokens: list[str], depth: int):
-    node, height, tokens = _parse_base(tokens, depth)
-    if tokens and tokens[0] == "^":
-        if not tokens[1:] or not tokens[1].isdigit():
+def _parse_factor(tokens: list[str], pos: int, depth: int):
+    node, height, pos = _parse_base(tokens, pos, depth)
+    if pos < len(tokens) and tokens[pos] == "^":
+        if pos + 1 == len(tokens) or not tokens[pos + 1].isdigit():
             raise ValueError("exponent must be a nonnegative integer")
-        node = ("pow", node, int(tokens[1]))
+        node = ("pow", node, int(tokens[pos + 1]))
         height = _capped(height + 1)
-        tokens = tokens[2:]
-    return node, height, tokens
+        pos += 2
+    return node, height, pos
 
 
-def _parse_base(tokens: list[str], depth: int):
-    if not tokens:
+def _parse_base(tokens: list[str], pos: int, depth: int):
+    if pos == len(tokens):
         raise ValueError("unexpected end of formula")
-    tok = tokens[0]
+    tok = tokens[pos]
     if tok == "-":
-        node, height, rest = _parse_base(tokens[1:], _capped(depth + 1))
-        return ("neg", node), _capped(height + 1), rest
+        node, height, pos = _parse_base(tokens, pos + 1, _capped(depth + 1))
+        return ("neg", node), _capped(height + 1), pos
     if tok == "(":
-        node, height, rest = _parse_expr(tokens[1:], _capped(depth + 1))
-        if not rest or rest[0] != ")":
+        node, height, pos = _parse_expr(tokens, pos + 1, _capped(depth + 1))
+        if pos == len(tokens) or tokens[pos] != ")":
             raise ValueError("unbalanced parentheses")
-        return node, _capped(height + 1), rest[1:]
+        return node, _capped(height + 1), pos + 1
     if tok == "c(x)":
-        return ("cx",), 1, tokens[1:]
+        return ("cx",), 1, pos + 1
     if tok.isdigit():
-        return ("int", int(tok)), 1, tokens[1:]
+        return ("int", int(tok)), 1, pos + 1
     if tok in "xyz":
-        return ("var", tok), 1, tokens[1:]
+        return ("var", tok), 1, pos + 1
     raise ValueError(f"unexpected token {tok!r}")
 
 

@@ -122,6 +122,9 @@ class SkewTableau:
 
     def __post_init__(self):
         outer, inner, rows = self.outer, self.inner, self.rows
+        for side, parts in (("outer", outer), ("inner", inner)):
+            if not is_partition(parts):
+                raise NotATableau(f"{side} {parts} is not a partition")
         if not contains(outer, inner):
             raise NotATableau(f"inner {inner} not contained in outer {outer}")
         if len(rows) != len(outer):

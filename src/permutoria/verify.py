@@ -17,7 +17,7 @@ from . import formulas as fm
 from . import gengraph as gg
 from . import involutions as iv
 from . import tableau as tb
-from .errors import UnknownSuite
+from .errors import PermutoriaError, UnknownSuite
 from .limits import Limits
 from .permcore import (
     PartialPermutation,
@@ -76,12 +76,10 @@ LIMITS = Limits(enumeration=12, da=14, extended=10, tree_depth=14)
 @dataclass(frozen=True)
 class Scale:
     """What ``permutoria verify`` lets a caller choose: the box and alphabet
-    of the ``P3-figure21`` universe and the sampling seed of ``P3-sec3`` and
-    ``P3-sec4``.  Every other suite states its own sizes."""
+    of the ``P3-figure21`` universe.  Every other suite states its own sizes."""
 
     box: tuple[int, int] = (4, 4)
     letters: int = 4
-    seed: int = 0
 
 
 # the largest P3-figure21 universe ``verify`` accepts: on 2 cores the suite
@@ -142,6 +140,39 @@ def _cube_series(cells: dict[tuple[int, int, int], int], total: int) -> MultiSer
 
 
 # ---------------------------------------------------------------------------
+# laws
+#
+# Each law, in every suite, is a predicate on one case, stated once; a case
+# carries the values several laws read, and a failing law names its first case.
+
+
+def _holds(law: Callable, case) -> bool:
+    """Whether the law holds on the case; a map that refuses the case fails it."""
+    try:
+        return law(case)
+    except PermutoriaError:
+        return False
+
+
+def _check_laws(rep: SuiteReport, cases: Iterable, what: str, laws: dict[str, Callable]):
+    """One check per law, that it holds on every case, in one pass over the
+    cases; ``what`` names the universe and takes the number of cases."""
+    seen = 0
+    first: dict[str, object] = {}
+    for case in cases:
+        seen += 1
+        for label, law in laws.items():
+            if label not in first and not _holds(law, case):
+                first[label] = case
+    for label in laws:
+        witness = f"; fails at {first[label]!r}" if label in first else ""
+        rep.check(label not in first, f"{label} ({what.format(seen)}){witness}")
+
+
+ck = iv.content_key
+
+
+# ---------------------------------------------------------------------------
 # introduction
 
 
@@ -186,38 +217,30 @@ def suite_intro_thm27(scale: Scale) -> SuiteReport:
     def binom(a: int, b: int) -> int:
         return comb(a, b) if 0 <= b <= a else 0
 
+    def binomial(d: int, c: int, r: int) -> int:
+        n = d + c + r
+        return binom(n + d, d) - binom(n + d, d - 1)
+
+    def summed(d: int, c: int, r: int) -> int:
+        n = d + c + r
+        return sum(binom(n - c, i) * binom(n - r, i) for i in range(d + 1)) - binom(n + d, d - 1)
+
     tables = {
         pat: ct.extended_table(PatternSet.parse(pat), 8, LIMITS)
         for pat in ("132", "231", "312", "321", "123", "213")
     }
-    for pat in ("132", "231", "312", "321"):
-        ok = True
-        witness = None
-        for (d, c, r), count in tables[pat].items():
-            n = d + c + r
-            expect = binom(n + d, d) - binom(n + d, d - 1)
-            if count != expect:
-                ok, witness = False, ((d, c, r), count, expect)
-                break
-        rep.check(ok, f"binomial formula for {pat}" + (f" ({witness})" if witness else ""))
-    for pat in ("123", "213"):
-        ok = True
-        witness = None
-        for (d, c, r), count in tables[pat].items():
-            n = d + c + r
-            expect = sum(binom(n - c, i) * binom(n - r, i) for i in range(d + 1)) - binom(
-                n + d, d - 1
-            )
-            if count != expect:
-                ok, witness = False, ((d, c, r), count, expect)
-                break
-        rep.check(ok, f"sum formula for {pat}" + (f" ({witness})" if witness else ""))
+    laws = {}
+    for pat, table in tables.items():
+        name, f = ("sum", summed) if pat in ("123", "213") else ("binomial", binomial)
+        laws[f"{name} formula for {pat}"] = lambda cell, t=table, f=f: t.get(cell, 0) == f(*cell)
     # the six classes are closed under inverse, so each table's inverse
     # table is one of the six
     for pat, table in tables.items():
         inv = tables[str(PatternSet.parse(pat).inverse())]
-        ok = _cube_series(inv, 8) == _cube_series(table, 8).swap_yz()
-        rep.check(ok, f"inverse-transpose law for {pat}")
+        laws[f"inverse-transpose law for {pat}"] = (
+            lambda cell, t=table, inv=inv: inv.get((cell[0], cell[2], cell[1]), 0) == t.get(cell, 0)
+        )
+    _check_laws(rep, sorted(set().union(*tables.values())), "d+c+r<=8, {} cells", laws)
     return rep
 
 
@@ -313,32 +336,31 @@ def suite_p1_sec4(scale: Scale) -> SuiteReport:
     return rep
 
 
+def _neighbour_order(case: tuple) -> bool:
+    w, p, _ = case
+    roww = bj.row_word(p)
+    return all((w.index(k) < w.index(k + 1)) == (roww[k - 1] >= roww[k]) for k in range(1, len(w)))
+
+
+def _signatures(case: tuple) -> bool:
+    w, p, q = case
+    flipped = tuple("-" if s == "+" else "+" for s in signature(bj.row_word(q)))
+    same = signature(w) == signature(bj.column_word(q)) == flipped
+    return same and signature(inverse(w)) == signature(bj.column_word(p))
+
+
 def suite_p1_sec5(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P1-sec5", "n<=7 tableaux laws; n<=5 bijection")
     p1234 = PatternSet.parse("1234")
     for n in range(1, 8):
-        ok_lemma = ok_sig = ok_alt = True
-        for w in itertools.permutations(range(1, n + 1)):
-            p, q = bj.rs_pair(w)
-            roww_p = bj.row_word(p)
-            for k in range(1, n):
-                before = w.index(k) < w.index(k + 1)
-                if before != (roww_p[k - 1] >= roww_p[k]):
-                    ok_lemma = False
-            if signature(inverse(w)) != signature(bj.column_word(p)):
-                ok_sig = False
-            if signature(w) != signature(bj.column_word(q)):
-                ok_sig = False
-            flipped = tuple("-" if s == "+" else "+" for s in signature(bj.row_word(q)))
-            if signature(w) != flipped:
-                ok_sig = False
-            is_da = is_doubly_alternating(w)
-            both_alt = bj.is_alternating_tableau(p) and bj.is_alternating_tableau(q)
-            if is_da != both_alt:
-                ok_alt = False
-        rep.check(ok_lemma, f"neighbour order vs insertion rows, n={n}")
-        rep.check(ok_sig, f"signature identities, n={n}")
-        rep.check(ok_alt, f"doubly alternating iff both tableaux alternate, n={n}")
+        cases = ((w, *bj.rs_pair(w)) for w in itertools.permutations(range(1, n + 1)))
+        _check_laws(rep, cases, f"n={n}, {{}} permutations", {
+            "neighbour order vs insertion rows": _neighbour_order,
+            "signature identities": _signatures,
+            "doubly alternating iff both tableaux alternate": lambda c: (
+                is_doubly_alternating(c[0]) == all(map(bj.is_alternating_tableau, c[1:]))
+            ),
+        })
     # colpair round trip on all Yamanouchi words of length <= 6
     words = [
         w
@@ -398,8 +420,8 @@ def suite_p1_sec6(scale: Scale) -> SuiteReport:
         rep.check(ok and images == cod, f"psi bijection with fixed inactive dots, n={n}")
     # region depends only on the inactive dots
     groups: dict[tuple, set] = {}
-    for w in ct.enumerate_da(8, p12, LIMITS):
-        reg = bj.active_region(w, (3, 4))
+    regions = [(w, bj.active_region(w, (3, 4))) for w in ct.enumerate_da(8, p12, LIMITS)]
+    for w, reg in regions:
         inside = set(reg.placement)
         key = tuple(sorted((i + 1, v) for i, v in enumerate(w) if (i + 1, v) not in inside))
         groups.setdefault(key, set()).add(reg.diagram)
@@ -408,18 +430,17 @@ def suite_p1_sec6(scale: Scale) -> SuiteReport:
         "equal inactive dots give equal diagrams",
     )
     # uniqueness of the monotone replacements against brute force
-    checked = True
-    for w in ct.enumerate_da(8, p12, LIMITS):
-        reg = bj.active_region(w, (3, 4))
-        if not reg.placement:
-            continue
-        sols = bj.placements_bruteforce(reg.diagram, reg.rows(), reg.cols(), "increasing")
-        if len(sols) != 1 or sols[0] != bj.unique_monotone_placement(
-            reg.diagram, reg.rows(), reg.cols(), "increasing"
-        ):
-            checked = False
-    rep.check(checked, "replacement uniqueness vs exhaustive search")
+    nonempty = [reg for _, reg in regions if reg.placement]
+    _check_laws(rep, nonempty, "DA_8(1234), {} nonempty regions", {
+        "replacement uniqueness vs exhaustive search": _unique_replacement,
+    })
     return rep
+
+
+def _unique_replacement(reg: bj.ActiveRegion) -> bool:
+    args = (reg.diagram, reg.rows(), reg.cols(), "increasing")
+    sols = bj.placements_bruteforce(*args)
+    return len(sols) == 1 and sols[0] == bj.unique_monotone_placement(*args)
 
 
 def suite_p1_prop72(scale: Scale) -> SuiteReport:
@@ -538,28 +559,27 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
     # c-activity
     from .permcore import _insert_dot, _insert_row
 
-    ok_r = ok_row_law = ok_c = True
     ps = PatternSet.parse("123")
-    seen = 0
-    for d in range(3):
-        for c in range(2):
-            for r in range(2):
-                for pp in ct.enumerate_extended(d, c, r, ps, LIMITS):
-                    for site in range(1, pp.rows + 2):
-                        active = extendably_avoids(_insert_dot(pp, site), ps)
-                        r_active = extendably_avoids(_insert_row(pp, site), ps)
-                        if active and not r_active:
-                            ok_r = False
-                        if r == 0 and r_active and not active:
-                            ok_row_law = False
-                    if extendably_avoids(_insert_dot(pp, pp.rows + 1), ps):
-                        taller = PartialPermutation(pp.rows, pp.cols + 1, pp.dots)
-                        if not extendably_avoids(taller, ps):
-                            ok_c = False
-                    seen += 1
-    rep.check(ok_r, f"active sites are r-active ({seen} objects)")
-    rep.check(ok_row_law, "without empty rows, r-active sites are active")
-    rep.check(ok_c, "bottom-site activity implies c-activity")
+
+    def with_sites(pp: PartialPermutation):
+        """The object with (active, r-active) at each site, top to bottom."""
+        sites = [(_insert_dot(pp, s), _insert_row(pp, s)) for s in range(1, pp.rows + 2)]
+        return pp, [(extendably_avoids(a, ps), extendably_avoids(b, ps)) for a, b in sites]
+
+    def c_active(pp: PartialPermutation) -> bool:
+        return extendably_avoids(PartialPermutation(pp.rows, pp.cols + 1, pp.dots), ps)
+
+    objects = (
+        pp for d in range(3) for c in range(2) for r in range(2)
+        for pp in ct.enumerate_extended(d, c, r, ps, LIMITS)
+    )
+    _check_laws(rep, map(with_sites, objects), "d<=2, c,r<=1, {} objects", {
+        "active sites are r-active": lambda c: all(r_act for act, r_act in c[1] if act),
+        "without empty rows, r-active sites are active": lambda c: (
+            c[0].rows > len(c[0].dots) or all(act for act, r_act in c[1] if r_act)
+        ),
+        "bottom-site activity implies c-activity": lambda c: not c[1][-1][0] or c_active(c[0]),
+    })
     # the dotted ladder: row-classes only reach row-classes
     g, _ = gg.discover_graph(PatternSet.parse("123"), "standard-extended", 5, 4, LIMITS)
     names = g.classes
@@ -580,15 +600,17 @@ def suite_p2_sec3(scale: Scale) -> SuiteReport:
         for i in row_classes
         if g.complete[i]
     }
-    ok_ladder = True
-    for i, k in degree.items():
+
+    def on_ladder(item: tuple[int, int]) -> bool:
+        i, k = item
         edges = [e for e in g.edges if e.src == i]
-        if any(e.weight != 1 for e in edges):
-            ok_ladder = False
-        if all(g.complete[e.dst] for e in edges):
-            if sorted(degree[e.dst] for e in edges) != list(range(1, k + 1)):
-                ok_ladder = False
-    rep.check(ok_ladder, "row classes form the complete-descent ladder")
+        ladder = sorted(degree[e.dst] for e in edges) == list(range(1, k + 1))
+        complete = all(g.complete[e.dst] for e in edges)
+        return all(e.weight == 1 for e in edges) and (ladder or not complete)
+
+    _check_laws(rep, degree.items(), "depth 5, {} complete row classes", {
+        "row classes form the complete-descent ladder": on_ladder,
+    })
     return rep
 
 
@@ -672,27 +694,8 @@ def suite_p2_pair_table(scale: Scale) -> SuiteReport:
 
 # ---------------------------------------------------------------------------
 # P3 suites: tableau involutions
-#
-# Each tableau law is a predicate on one tableau or one stacked pair, stated
-# once; the suites check it over universes of the sizes their labels name.
 
-ck = iv.content_key
 Pair = tuple[tb.SkewTableau, tb.SkewTableau]
-
-
-def _check_laws(rep: SuiteReport, cases: Iterable, what: str, laws: dict[str, Callable]):
-    """One check per law, that it holds on every case, in one pass over the
-    cases; ``what`` names the universe and takes the number of cases."""
-    seen = 0
-    first: dict[str, object] = {}
-    for case in cases:
-        seen += 1
-        for label, law in laws.items():
-            if label not in first and not law(case):
-                first[label] = case
-    for label in laws:
-        witness = f"; fails at {first[label]!r}" if label in first else ""
-        rep.check(label not in first, f"{label} ({what.format(seen)}){witness}")
 
 
 def _words(t: tb.SkewTableau, *words: iv.BKWord) -> tb.SkewTableau:
@@ -800,6 +803,25 @@ def _switch_rectifies(pair: Pair) -> bool:
     return bool(s.inner) or not s.size() or ck(iv.tableau_switch(s, t)[0]) == ck(iv.jdt(t))
 
 
+Dominant = tuple[tb.SkewTableau, tb.Partition, tb.Partition, tb.SkewTableau, tb.SkewTableau]
+
+
+def _dominant_with_rsk(R: int, C: int, N: int, W: int) -> Iterator[Dominant]:
+    """Each (t, nu, kap) of the dominant universe with rsk_tableau(t, nu, kap)."""
+    for t, nu, kap in dominant_universe(R, C, N, W):
+        yield (t, nu, kap, *iv.rsk_tableau(t, nu, kap))
+
+
+def _complements(t: tb.SkewTableau, nu: tb.Partition, kap: tb.Partition) -> list[tb.Partition]:
+    """The companion shapes of rotate(t): the box complements of kap and nu."""
+    return [tb.complement_in_box(x, t.letters, t.box2[1]) for x in (kap, nu)]
+
+
+def _companion_rotation(case: tuple) -> bool:
+    t, nu, kap, tau = case
+    return ck(tb.companion(tb.rotate(t), *_complements(t, nu, kap))) == ck(tb.rotate(tau))
+
+
 def suite_p3_companion(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P3-sec2", "boxes <= 3x3, letters <= 3")
     _check_laws(rep, ssyt_universe(3, 3, 3), "3x3 box, 3 letters, {} tableaux", {
@@ -807,23 +829,16 @@ def suite_p3_companion(scale: Scale) -> SuiteReport:
         "rotation is an involution": _rotation_involutive,
         "Yamanouchi word iff partition-shaped companion": _lr_iff_dominant,
     })
-    dominated = 0
-    ok27 = ok_tau2 = True
-    for letters in (2, 3):
-        for t, nu, kap in dominant_universe(3, 3, letters, 3):
-            tau = tb.companion(t, nu, kap)
-            if ck(tb.companion(tau, t.outer, t.inner)) != ck(t):
-                ok_tau2 = False
-            left = tb.companion(
-                tb.rotate(t),
-                tb.complement_in_box(kap, t.letters, t.box2[1]),
-                tb.complement_in_box(nu, t.letters, t.box2[1]),
-            )
-            if ck(left) != ck(tb.rotate(tau)):
-                ok27 = False
-            dominated += 1
-    rep.check(ok_tau2, f"companion involution on {dominated} dominant tableaux")
-    rep.check(ok27, "companion commutes with rotation (letters <= 3)")
+    dominant = (
+        (t, nu, kap, tb.companion(t, nu, kap))
+        for letters in (2, 3) for t, nu, kap in dominant_universe(3, 3, letters, 3)
+    )
+    _check_laws(rep, dominant, "3x3 box, letters <= 3, {} dominant tableaux", {
+        "companion involution": lambda c: (
+            ck(tb.companion(c[3], c[0].outer, c[0].inner)) == ck(c[0])
+        ),
+        "companion commutes with rotation": _companion_rotation,
+    })
     # canonical family of a staircase-like shape
     lam = (5, 4, 3, 1)
     box = (4, 5)
@@ -848,11 +863,8 @@ def suite_p3_companion(scale: Scale) -> SuiteReport:
 
 def suite_p3_sliding(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P3-sec3", "boxes <= 3x4 and 4x4, letters <= 4")
-    import random as rnd
-
-    universe = [t for t in ssyt_universe(3, 3, 3) if t.inner]
-    sample = rnd.Random(scale.seed).sample(universe, min(200, len(universe)))
-    _check_laws(rep, sample, "3x3 box, 3 letters, {} samples, 3 orders each", {
+    skew = (t for t in ssyt_universe(3, 3, 3) if t.inner)
+    _check_laws(rep, skew, "3x3 box, 3 letters, {} skew tableaux, 3 orders each", {
         "sliding order does not matter": _slide_order_free,
     })
     _check_laws(rep, _with_reversal(ssyt_universe(3, 3, 3)), "3x3 box, 3 letters, {} tableaux", {
@@ -891,186 +903,173 @@ def suite_p3_sliding(scale: Scale) -> SuiteReport:
     return rep
 
 
+def _matrices() -> Iterator[tuple[tuple[tuple[int, ...], ...], tb.SkewTableau, tb.SkewTableau]]:
+    """Every 3x3 matrix with entries <= 2, with its rsk_matrix pair."""
+    for entries in itertools.product(range(3), repeat=9):
+        m = (entries[0:3], entries[3:6], entries[6:9])
+        yield (m, *iv.rsk_matrix(m))
+
+
+def _transpose_swaps(case) -> bool:
+    m, p, q = case
+    pt, qt = iv.rsk_matrix(tuple(zip(*m)))
+    return ck(pt) == ck(q) and ck(qt) == ck(p)
+
+
+def _rotation_reverses(case) -> bool:
+    m, p, q = case
+    pr, qr = iv.rsk_matrix(tuple(tuple(reversed(r)) for r in reversed(m)))
+    return ck(pr) == ck(iv.schuetzenberger(p)) and ck(qr) == ck(iv.schuetzenberger(q))
+
+
+def _rsk_identities(case: Dominant) -> bool:
+    """rsk_tableau against the matrix route, rectification and rotation."""
+    t, nu, kap, p, q = case
+    p_, q_ = iv.rsk_matrix(tuple(reversed(tb.recording_matrix(t))))
+    q2 = iv.jdt(tb.companion(tb.rotate(t), *_complements(t, nu, kap)))
+    return (
+        ck(p) == ck(p_) == ck(iv.jdt(t))
+        and ck(q_) == ck(iv.schuetzenberger(q)) == ck(q2)
+        and ck(iv.jdt(tb.rotate(t))) == ck(iv.schuetzenberger(p))
+    )
+
+
+def _companion_swaps(case: Dominant) -> bool:
+    t, nu, kap, p, q = case
+    pt, qt = iv.rsk_tableau(tb.companion(t, nu, kap), t.outer, t.inner)
+    return ck(pt) == ck(q) and ck(qt) == ck(p)
+
+
+def _slides_keep_companion_shapes(case: Dominant) -> bool:
+    t, nu, kap = case[:3]
+    return all(
+        tb.is_dominant(u, nu, kap) or not iv.jdt_equivalent(t, u)
+        for u in tb.enumerate_ssyt(t.outer, t.inner, max_letter=2, box1=t.box1, box2=t.box2)
+    )
+
+
+def _reversal_involutive(case: Reversed) -> bool:
+    t, r = case
+    same_shape = (r.outer, r.inner) == (t.outer, t.inner)
+    return same_shape and r.weight() == t.weight()[::-1] and ck(iv.reversal(r)) == ck(t)
+
+
+def _helper_free(case: Reversed) -> bool:
+    t, r = case
+    helpers = tb.enumerate_ssyt(t.inner, max_letter=2, box1=(3, 3), box2=(2, 3))
+    return all(ck(iv.reversal_with(t, s)) == ck(r) for s in itertools.islice(helpers, 3))
+
+
 def suite_p3_rsk(scale: Scale) -> SuiteReport:
     rep = SuiteReport(
         "P3-sec4", "matrices 3x3 entries<=2; dominant universe 3x3/2; ssyt universe 3x3/3"
     )
-    ok_t = ok_rot = ok_inv = True
-    for entries in itertools.product(range(3), repeat=9):
-        m = (entries[0:3], entries[3:6], entries[6:9])
-        p, q = iv.rsk_matrix(m)
-        pt, qt = iv.rsk_matrix(tuple(zip(*m)))
-        if iv.content_key(pt) != iv.content_key(q) or iv.content_key(qt) != iv.content_key(p):
-            ok_t = False
-        if sum(entries):
-            rotm = tuple(tuple(reversed(r)) for r in reversed(m))
-            pr, qr = iv.rsk_matrix(rotm)
-            if iv.content_key(pr) != iv.content_key(iv.schuetzenberger(p)):
-                ok_rot = False
-            if iv.content_key(qr) != iv.content_key(iv.schuetzenberger(q)):
-                ok_rot = False
-        if iv.rsk_matrix_inverse(p, q) != tuple(tuple(r) for r in m):
-            ok_inv = False
-    rep.check(ok_t, "transposition swaps the output pair (19683 matrices)")
-    rep.check(ok_rot, "rotation conjugates by weight reversal")
-    rep.check(ok_inv, "reverse bumping inverts the correspondence")
-    ok_suite = ok_back = ok_swap = True
-    count = 0
-    for t, nu, kap in dominant_universe(3, 3, 2, 3):
-        m = tb.recording_matrix(t)
-        p_, q_ = iv.rsk_matrix(tuple(reversed(m)))
-        p, q = iv.rsk_tableau(t, nu, kap)
-        pt, qt = iv.rsk_tableau(tb.companion(t, nu, kap), t.outer, t.inner)
-        if iv.content_key(pt) != iv.content_key(q) or iv.content_key(qt) != iv.content_key(p):
-            ok_swap = False
-        if iv.content_key(p) != iv.content_key(p_) or iv.content_key(p) != iv.content_key(iv.jdt(t)):
-            ok_suite = False
-        if iv.content_key(q_) != iv.content_key(iv.schuetzenberger(q)):
-            ok_suite = False
-        if iv.content_key(iv.jdt(tb.rotate(t))) != iv.content_key(iv.schuetzenberger(p)):
-            ok_suite = False
-        comp_out = tb.complement_in_box(kap, t.letters, t.box2[1])
-        comp_in = tb.complement_in_box(nu, t.letters, t.box2[1])
-        q2 = iv.jdt(tb.companion(tb.rotate(t), comp_out, comp_in))
-        if iv.content_key(q2) != iv.content_key(q_):
-            ok_suite = False
-        back = iv.rsk_tableau_inverse(p, q, t.outer, t.inner)
-        if iv.content_key(back) != iv.content_key(t):
-            ok_back = False
-        count += 1
-    rep.check(ok_suite, f"sliding/rotation/companion identity suite ({count} tableaux)")
-    rep.check(ok_back, "switching-based inverse recovers the tableau")
-    rep.check(ok_swap, "companion swaps the insertion and recording tableaux")
-    # reversal laws
-    ok_chi = ok_indep = True
-    import random as rnd
-
-    rng = rnd.Random(scale.seed)
-    universe = [t for t in ssyt_universe(3, 3, 3)]
-    for t in universe:
-        r = iv.reversal(t)
-        if (r.outer, r.inner) != (t.outer, t.inner) or r.weight() != tuple(reversed(t.weight())):
-            ok_chi = False
-        if iv.content_key(iv.reversal(r)) != iv.content_key(t):
-            ok_chi = False
-    rep.check(ok_chi, f"reversal involution on {len(universe)} tableaux")
-    skew = [t for t in universe if t.inner]
-    for t in rng.sample(skew, min(100, len(skew))):
-        helpers = list(
-            tb.enumerate_ssyt(t.inner, max_letter=2, box1=(3, 3), box2=(2, 3))
-        )
-        base = iv.reversal(t)
-        for s in helpers[:3]:
-            if iv.content_key(iv.reversal_with(t, s)) != iv.content_key(base):
-                ok_indep = False
-    rep.check(ok_indep, "reversal independent of the helper tableau")
+    _check_laws(rep, _matrices(), "3x3, entries <= 2, {} matrices", {
+        "transposition swaps the output pair": _transpose_swaps,
+        "rotation conjugates by weight reversal": _rotation_reverses,
+        "reverse bumping inverts the correspondence": lambda c: (
+            iv.rsk_matrix_inverse(c[1], c[2]) == c[0]
+        ),
+    })
+    _check_laws(rep, _dominant_with_rsk(3, 3, 2, 3), "3x3 box, 2 letters, {} dominant tableaux", {
+        "sliding/rotation/companion identity suite": _rsk_identities,
+        "switching-based inverse recovers the tableau": lambda c: (
+            ck(iv.rsk_tableau_inverse(c[3], c[4], c[0].outer, c[0].inner)) == ck(c[0])
+        ),
+        "companion swaps the insertion and recording tableaux": _companion_swaps,
+        "jdt-equivalent tableaux share their companion shapes": _slides_keep_companion_shapes,
+    })
+    universe = [(t, iv.reversal(t)) for t in ssyt_universe(3, 3, 3)]
+    _check_laws(rep, universe, "3x3 box, 3 letters, {} tableaux", {
+        "reversal involution": _reversal_involutive,
+    })
+    _check_laws(rep, (c for c in universe if c[0].inner), "3x3 box, 3 letters, {} skew tableaux", {
+        "reversal independent of the helper tableau": _helper_free,
+    })
     # dual equivalence
-    ok_dual = ok_both = ok_comp = True
     by_shape: dict[tuple, list] = {}
-    for t in universe:
-        if not t.inner:
-            by_shape.setdefault((t.outer, t.inner), []).append(t)
-    for group in by_shape.values():
-        for a, b in zip(group, group[1:]):
-            if not iv.dual_equivalent(a, b):
-                ok_dual = False
-    rep.check(ok_dual, "partition tableaux of equal shape are dual equivalent")
-    by_shape = {}
-    for t in universe:
+    for t, _ in universe:
         by_shape.setdefault((t.outer, t.inner), []).append(t)
-    for group in by_shape.values():
-        for a in group[:6]:
-            for b in group[:6]:
-                jdt_eq = iv.jdt_equivalent(a, b)
-                dual_eq = iv.dual_equivalent(a, b)
-                if jdt_eq and dual_eq and iv.content_key(a) != iv.content_key(b):
-                    ok_both = False
-    rep.check(ok_both, "jdt-equivalent and dual-equivalent forces equality")
-    ok47 = True
-    for t, nu, kap in dominant_universe(3, 3, 2, 3):
-        for u in tb.enumerate_ssyt(t.outer, t.inner, max_letter=2, box1=t.box1, box2=t.box2):
-            if iv.jdt_equivalent(t, u) and not tb.is_dominant(u, nu, kap):
-                ok47 = False
-    rep.check(ok47, "jdt-equivalent tableaux share their companion shapes")
+    straight = [group for group in by_shape.values() if not group[0].inner]
+    neighbours = [pair for group in straight for pair in zip(group, group[1:])]
+    _check_laws(rep, neighbours, "3x3 box, 3 letters, {} neighbouring pairs", {
+        "partition tableaux of equal shape are dual equivalent": lambda c: iv.dual_equivalent(*c),
+    })
+    pairs = [(a, b) for group in by_shape.values() for a in group[:6] for b in group[:6]]
+    _check_laws(rep, pairs, "3x3 box, 3 letters, {} pairs of equal shape", {
+        "jdt-equivalent and dual-equivalent forces equality": lambda c: (
+            ck(c[0]) == ck(c[1]) or not (iv.jdt_equivalent(*c) and iv.dual_equivalent(*c))
+        ),
+    })
     return rep
+
+
+def _rho_involutive(case: tuple) -> bool:
+    t, r = case[:2]
+    return ck(iv.rho(r)) == ck(t) and (r.outer, r.inner) == (t.outer, tb.normalize(t.weight()))
+
+
+def _rsk_tracks_equivalences(case: Dominant) -> bool:
+    t, nu, kap, p, q = case
+    for u in tb.enumerate_ssyt(t.outer, t.inner, max_letter=2, box1=t.box1, box2=t.box2):
+        if not tb.is_dominant(u, nu, kap):
+            continue
+        pu, qu = iv.rsk_tableau(u, nu, kap)
+        same_p, same_q = ck(pu) == ck(p), ck(qu) == ck(q)
+        if same_p != iv.jdt_equivalent(t, u) or same_q != iv.dual_equivalent(t, u):
+            return False
+        if same_p and same_q and ck(u) != ck(t):
+            return False
+    return True
+
+
+def _switching_computes_rsk(case: Dominant) -> bool:
+    t, nu, kap, p, q = case
+    first, second = iv.tableau_switch(tb.canonical(t.inner), t)
+    tau_q = tb.companion(q, t.outer, t.inner)
+    expect = iv.rho(tb.SkewTableau(
+        tau_q.outer, tau_q.inner, tau_q.rows, tau_q.box1, tau_q.box2, "lr"
+    ))
+    return ck(first) == ck(p) and ck(second) == ck(expect)
+
+
+def _reversal_flips_insertion(case: Dominant) -> bool:
+    t, nu, kap, p, q = case
+    pc, qc = iv.rsk_tableau(iv.reversal(t), *_complements(t, nu, kap))
+    return ck(pc) == ck(iv.schuetzenberger(p)) and ck(qc) == ck(q)
 
 
 def suite_p3_rho(scale: Scale) -> SuiteReport:
     rep = SuiteReport("P3-sec5", "LR universe 3x3, letters <= 3; recording matrices 4x4/2")
-    ok_rho = ok_lemma51 = ok_53 = ok_55 = ok_57 = ok_510 = ok_511 = ok_515 = True
-    count = 0
-    for t in lr_universe(3, 3, 3):
-        r = iv.rho(t)
-        if iv.content_key(iv.rho(r)) != iv.content_key(t):
-            ok_rho = False
-        if (r.outer, r.inner) != (t.outer, tb.normalize(t.weight())):
-            ok_rho = False
-        chi = iv.reversal(t)
-        if iv.content_key(iv.rho_dual(iv.rho(t))) != iv.content_key(chi):
-            ok_lemma51 = False
-        if iv.content_key(iv.rho(iv.rho_dual(t))) != iv.content_key(chi):
-            ok_lemma51 = False
-        lhs = iv.omega(t)
-        rhs = iv.rho(tb.rotate(iv.rho(tb.rotate(iv.rho(t)))))
-        if iv.content_key(lhs) != iv.content_key(rhs):
-            ok_53 = False
-        if iv.content_key(lhs) != iv.content_key(iv.reversal(tb.rotate(t))):
-            ok_515 = False
-        if iv.content_key(iv.omega(lhs)) != iv.content_key(t):
-            ok_515 = False
-        count += 1
-    rep.check(ok_rho, f"symmetry map involution on {count} tableaux")
-    rep.check(ok_lemma51, "dual and plain symmetry maps compose to the reversal")
-    rep.check(ok_53, "triple composition with rotations equals the big involution")
-    rep.check(ok_515, "big involution equals reversal of the rotation, squares to one")
+    # each case is (t, rho(t), reversal(t), omega(t))
+    lr = ((t, iv.rho(t), iv.reversal(t), iv.omega(t)) for t in lr_universe(3, 3, 3))
+    _check_laws(rep, lr, "3x3 box, 3 letters, {} LR tableaux", {
+        "symmetry map involution": _rho_involutive,
+        "dual and plain symmetry maps compose to the reversal": lambda c: (
+            ck(iv.rho_dual(c[1])) == ck(c[2]) == ck(iv.rho(iv.rho_dual(c[0])))
+        ),
+        "triple composition with rotations equals the big involution": lambda c: (
+            ck(c[3]) == ck(iv.rho(tb.rotate(iv.rho(tb.rotate(c[1])))))
+        ),
+        "big involution equals reversal of the rotation, squares to one": lambda c: (
+            ck(c[3]) == ck(iv.reversal(tb.rotate(c[0]))) and ck(iv.omega(c[3])) == ck(c[0])
+        ),
+    })
     # equal recording matrices rectify together; rsk separates points
-    seen: dict[tuple, tb.SkewTableau] = {}
-    for t in ssyt_universe(4, 4, 2):
-        key = (t.outer, tb.recording_matrix(t))
-        if key in seen:
-            if not iv.jdt_equivalent(seen[key], t):
-                ok_55 = False
-        else:
-            seen[key] = t
-    rep.check(ok_55, "equal recording matrices rectify to the same tableau")
-    for t, nu, kap in dominant_universe(3, 3, 2, 3):
-        p, q = iv.rsk_tableau(t, nu, kap)
-        for u in tb.enumerate_ssyt(t.outer, t.inner, max_letter=2, box1=t.box1, box2=t.box2):
-            if not tb.is_dominant(u, nu, kap):
-                continue
-            pu, qu = iv.rsk_tableau(u, nu, kap)
-            if (iv.content_key(pu) == iv.content_key(p)) != iv.jdt_equivalent(t, u):
-                ok_57 = False
-            if (iv.content_key(qu) == iv.content_key(q)) != iv.dual_equivalent(t, u):
-                ok_57 = False
-            if (
-                iv.content_key(pu) == iv.content_key(p)
-                and iv.content_key(qu) == iv.content_key(q)
-                and iv.content_key(u) != iv.content_key(t)
-            ):
-                ok_57 = False
-    rep.check(ok_57, "insertion side tracks rectification, recording side duality")
-    for t, nu, kap in dominant_universe(3, 3, 2, 3):
-        p, q = iv.rsk_tableau(t, nu, kap)
-        helper = tb.canonical(t.inner)
-        first, second = iv.tableau_switch(helper, t)
-        tau_q = tb.companion(q, t.outer, t.inner)
-        expect = iv.rho(tb.SkewTableau(
-            tau_q.outer, tau_q.inner, tau_q.rows, tau_q.box1, tau_q.box2, "lr"
-        ))
-        if iv.content_key(first) != iv.content_key(p):
-            ok_510 = False
-        if iv.content_key(second) != iv.content_key(expect):
-            ok_510 = False
-        comp_out = tb.complement_in_box(kap, t.letters, t.box2[1])
-        comp_in = tb.complement_in_box(nu, t.letters, t.box2[1])
-        pc, qc = iv.rsk_tableau(iv.reversal(t), comp_out, comp_in)
-        if iv.content_key(pc) != iv.content_key(iv.schuetzenberger(p)):
-            ok_511 = False
-        if iv.content_key(qc) != iv.content_key(q):
-            ok_511 = False
-    rep.check(ok_510, "switching against the canonical tableau computes rsk")
-    rep.check(ok_511, "reversal flips the insertion side only")
+    first: dict[tuple, tb.SkewTableau] = {}
+    by_matrix = (
+        (first.setdefault((t.outer, tb.recording_matrix(t)), t), t) for t in ssyt_universe(4, 4, 2)
+    )
+    _check_laws(rep, by_matrix, "4x4 box, 2 letters, {} tableaux", {
+        "equal recording matrices rectify to the same tableau": lambda c: (
+            c[0] is c[1] or iv.jdt_equivalent(*c)
+        ),
+    })
+    _check_laws(rep, _dominant_with_rsk(3, 3, 2, 3), "3x3 box, 2 letters, {} dominant tableaux", {
+        "insertion side tracks rectification, recording side duality": _rsk_tracks_equivalences,
+        "switching against the canonical tableau computes rsk": _switching_computes_rsk,
+        "reversal flips the insertion side only": _reversal_flips_insertion,
+    })
     return rep
 
 
@@ -1094,32 +1093,32 @@ def suite_p3_diagram(scale: Scale) -> SuiteReport:
     return rep
 
 
-def suite_p3_lr(scale: Scale) -> SuiteReport:
-    rep = SuiteReport("P3-lr", "|lambda|<=8")
-    ok_sym = ok_bij = True
-    for n in range(1, 9):
+def _lr_triples(top: int) -> Iterator[tuple[tb.Partition, tb.Partition, tb.Partition, int]]:
+    """Each (lambda, mu, nu) with mu in lambda, |nu| = |lambda/mu| and |lambda| <= top."""
+    for n in range(1, top + 1):
         for lam in tb.partitions_of(n):
             for mu_size in range(n + 1):
-                for mu in tb.partitions_of(mu_size):
-                    if not tb.contains(lam, mu):
-                        continue
+                for mu in (mu for mu in tb.partitions_of(mu_size) if tb.contains(lam, mu)):
                     for nu in tb.partitions_of(n - mu_size):
-                        a = iv.lr_coefficient(lam, mu, nu)
-                        b = iv.lr_coefficient(lam, nu, mu)
-                        if a != b:
-                            ok_sym = False
-                        if a and sum(mu):
-                            dom = list(tb.enumerate_lr(lam, mu, nu))
-                            images = {
-                                iv.content_key(iv.rho(t)) for t in dom
-                            }
-                            cod = {
-                                iv.content_key(t) for t in tb.enumerate_lr(lam, nu, mu)
-                            }
-                            if images != cod:
-                                ok_bij = False
-    rep.check(ok_sym, "coefficient symmetry in the two lower partitions")
-    rep.check(ok_bij, "the symmetry map witnesses every coefficient equality")
+                        yield lam, mu, nu, iv.lr_coefficient(lam, mu, nu)
+
+
+def _rho_witnesses(case: tuple[tb.Partition, tb.Partition, tb.Partition, int]) -> bool:
+    lam, mu, nu, a = case
+    if not (a and sum(mu)):
+        return True
+    images = {ck(iv.rho(t)) for t in tb.enumerate_lr(lam, mu, nu)}
+    return images == {ck(t) for t in tb.enumerate_lr(lam, nu, mu)}
+
+
+def suite_p3_lr(scale: Scale) -> SuiteReport:
+    rep = SuiteReport("P3-lr", "|lambda|<=8")
+    _check_laws(rep, _lr_triples(8), "|lambda|<=8, {} triples", {
+        "coefficient symmetry in the two lower partitions": lambda c: (
+            iv.lr_coefficient(c[0], c[2], c[1]) == c[3]
+        ),
+        "the symmetry map witnesses every coefficient equality": _rho_witnesses,
+    })
     return rep
 
 

@@ -16,11 +16,13 @@ per criterion with its runtime, and under it each suite's first-run time.
 
 import functools
 import json
+import re
 import time
 
 import pytest
 
-from permutoria import cli, verify
+from permutoria import cli, involutions, verify
+from permutoria.errors import NotATableau
 
 
 # each suite's wall time on its first run, which the criterion lines print
@@ -151,6 +153,33 @@ def test_p3_sec3_states_the_4x4_laws():
     pairs = [r for r in rows if r.endswith("(4x4 box, 2+2 letters, 137861 stacked pairs)")]
     assert len(tableaux) == 6 and len(pairs) == 1
     assert all(r.startswith("pass") for r in tableaux + pairs)
+
+
+def test_a_failing_law_names_its_case(monkeypatch):
+    """A law that fails reports the first case it fails on, here a matrix."""
+    real = involutions.rsk_matrix_inverse
+
+    def off_by_one(p, q):
+        first, *rest = real(p, q)
+        return ((first[0] + 1, *first[1:]), *rest)
+
+    monkeypatch.setattr(involutions, "rsk_matrix_inverse", off_by_one)
+    report = verify.run_suite("P3-sec4")
+    assert not report.ok
+    assert report.first_counterexample.startswith("reverse bumping inverts the correspondence")
+    assert re.search(r"; fails at \(\(\(\d, \d, \d\), \(\d, \d, \d\), \(\d, \d, \d\)\), ",
+                     report.first_counterexample)
+
+
+def test_a_law_that_a_map_refuses_fails_at_that_case():
+    def law(n):
+        if n == 2:
+            raise NotATableau("refused")
+        return True
+
+    report = verify.SuiteReport("stub", "stub")
+    verify._check_laws(report, range(4), "{} numbers", {"numbers pass": law})
+    assert report.rows == ["FAIL  numbers pass (4 numbers); fails at 2"]
 
 
 def test_every_suite_runs_in_tier1():

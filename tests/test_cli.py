@@ -173,6 +173,14 @@ class TestVerify:
         assert captured.err.count("\n") == 1
         assert "unknown suite 'no-such-suite'" in captured.err and "P1-7.1" in captured.err
 
+    def test_seed_is_refused(self, capsys):
+        # every suite runs on whole universes, so there is no sample to seed
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "P3-sec4", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err == "permutoria: error: unrecognized arguments: --seed 0\n"
+
     def test_all_runs_each_suite_once(self, capsys, monkeypatch):
         ran = []
 

@@ -10,11 +10,16 @@ patterns.
 
 import gc
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import permutoria
 from permutoria import counting, kernels
 from permutoria.permcore import PatternSet, contains_pattern_bruteforce, is_doubly_alternating
 
@@ -125,6 +130,21 @@ def test_memo_edge_cases():
         assert kernels.count_avoiders_memo(n, long) == kernels.count_avoiders_py(n, long)
         assert kernels.count_avoiders_memo(n, ()) == kernels.count_avoiders_py(n, ())
     assert kernels.count_avoiders_memo(10, ((1, 3, 2, 4),)) == 591950
+
+
+def test_memo_does_not_recurse_per_value():
+    # a child process whose recursion limit is below n counts S_n(21)
+    code = (
+        "import sys\nfrom permutoria import kernels\nsys.setrecursionlimit(150)\n"
+        "print(kernels.count_avoiders_memo(200, ((2, 1),)))"
+    )
+    src = str(Path(permutoria.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 def test_no_cyclic_garbage():

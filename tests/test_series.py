@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,16 @@ class TestParser:
         for text in ["(" * 100 + "x" + ")" * 100, "-" * 100 + "x", "+".join(["x"] * 101)]:
             with pytest.raises(ValueError, match="formula nested deeper than 100 levels"):
                 RationalExpr.parse(text)
+
+    def test_long_formula_parses_in_linear_time(self):
+        # a balanced sum of 2^14 x's in 65,533 characters, 29 levels high
+        text = "x"
+        for _ in range(14):
+            text = f"({text}+{text})"
+        assert len(text) == 65533
+        start = time.perf_counter()
+        RationalExpr.parse(text)
+        assert time.perf_counter() - start < 2.0
 
     def test_dump_deterministic(self):
         s = expand_rational("1/((1-x)*(1-y))", (2, 2, 0))

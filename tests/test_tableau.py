@@ -121,6 +121,8 @@ class TestValidation:
             # the first fault in row order is the one named
             (((2, 2), (), ((1, 1), (1, 0)), (3, 3), (3, 3)), "row 1 not weakly increasing"),
             (((2, 2), (), ((1, 5), (1,)), (3, 3), (3, 3)), "entry 5 outside letter bound 3"),
+            (((1, 2), (), ((1,), (2, 2)), (2, 2), (2, 2)), "outer (1, 2) is not a partition"),
+            (((2, 2), (0, 1), ((1, 1), (2,)), (2, 2), (2, 2)), "inner (0, 1) is not a partition"),
         ],
     )
     def test_each_rejection_names_its_fault(self, args, message):
