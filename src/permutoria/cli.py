@@ -293,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="standard-extended",
     )
     p.add_argument("--depth", type=_at_least(0), default=6)
-    p.add_argument("--fingerprint-depth", type=_at_least(1), default=4)
+    # discover_graph caps depth + fingerprint depth at tree_depth
+    p.add_argument(
+        "--fingerprint-depth", type=_at_least(1, DEFAULT_LIMITS.tree_depth), default=4
+    )
     p.add_argument("--validate", type=_at_least(0), help="horizon for brute-force validation")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_discover)

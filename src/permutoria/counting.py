@@ -31,7 +31,7 @@ def enumerate_avoiders(
 def count_avoiders(n: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS) -> int:
     """|S_n(patterns)| without materializing the permutations."""
     enforce(limits, "enumeration", "n", n)
-    return kernels.count_avoiders_raw(n, patterns.patterns)
+    return kernels.count_avoiders_raw(n, patterns.patterns, patterns.automata)
 
 
 def enumerate_da(

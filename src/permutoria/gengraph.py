@@ -244,6 +244,8 @@ def discover_graph(
     if depth < 0 or fp_depth < 1:
         raise ValueError(f"need depth >= 0 and fp_depth >= 1, got {depth} and {fp_depth}")
     enforce(limits, "tree_depth", "depth", depth)
+    # a fingerprint looks fp_depth levels below a class found at depth
+    enforce(limits, "tree_depth", "depth + fingerprint depth", depth + fp_depth)
     cls = Classifier(patterns, rule, fp_depth)
     edge_weights: dict[tuple[int, int, EdgeKind], int] = {}
     complete: dict[int, bool] = {}

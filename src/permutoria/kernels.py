@@ -27,6 +27,13 @@ The counters dominate the runtime of every brute-force suite.
 ``count_avoiders_raw`` is the memoised counter ``count_avoiders_memo``,
 which counts the completions of a prefix once per canonical state instead
 of once per leaf; ``count_da_raw`` is the plain counter ``count_da_py``.
+A state is one level id per pattern, read from the pattern's
+``LevelAutomaton``: its interned levels and the transitions (level id,
+rank of the appended value) -> level id or blocked, grown as counts reach
+them.  They depend on the pattern alone, so a ``PatternSet`` owns one
+automaton per pattern for its whole life and every count of the set, at
+any n, reuses what earlier counts built; only the memo of counts belongs
+to one call.
 
 The oracles stay separate code: ``count_avoiders_py`` checks
 ``count_avoiders_memo``, brute force over all permutations checks
@@ -314,13 +321,15 @@ def _antichain(items: set, roles: tuple[int, ...]) -> tuple:
     if len(roles) == 1 and roles[0]:
         return (min(items),) if roles[0] == 1 else (max(items),)
     ranked = sorted(
-        (
-            sum(c * s for c, s in zip(t, roles)),
-            tuple(c for c, s in zip(t, roles) if not s),
-            tuple(c * s for c, s in zip(t, roles) if s),
-            t,
-        )
-        for t in items
+        [
+            (
+                sum([c * s for c, s in zip(t, roles)]),
+                tuple([c for c, s in zip(t, roles) if not s]),
+                tuple([c * s for c, s in zip(t, roles) if s]),
+                t,
+            )
+            for t in items
+        ]
     )
     keep: list[tuple] = []
     for _, fixed, cost, t in ranked:
@@ -337,59 +346,102 @@ def _extend(steps: list[tuple], levels: tuple, r: int) -> tuple:
     prev = _ROOT
     for j, cur in enumerate(levels):
         lo, hi, src, roles = steps[j]
-        items = {tuple(c - (c > r) for c in t) for t in cur}
+        items = {tuple([c - 1 if c > r else c for c in t]) for t in cur}
         for t in prev:
             if (lo < 0 or r >= t[lo]) and (hi < 0 or r < t[hi]):
-                items.add(tuple(r if s < 0 else t[s] - (t[s] > r) for s in src))
+                items.add(tuple([r if s < 0 else t[s] - (t[s] > r) for s in src]))
         out.append(_antichain(items, roles))
         prev = cur
     return tuple(out)
 
 
-def count_avoiders_memo(n: int, patterns: Sequence[Pattern]) -> int:
-    """|S_n(patterns)| with completions counted once per canonical state.
+class LevelAutomaton:
+    """One pattern's levels and transitions, grown as counts visit them.
 
-    Each pattern's levels (its p[:j] tuple sets) are interned to small
-    integers with a transition table per pattern; a prefix state is the
-    tuple of those integers.  All tables live for this call only.
+    A level id names one state of the pattern: its p[:j] tuple sets for
+    every j < |p|, interned in ``levels`` and ``ids``.  ``moves`` maps
+    ``(id, r)``, appending the unused value of rank r, to the next id, or
+    to -1 when that value completes an occurrence.  None of it depends on
+    n or on the other patterns of a set, so one automaton serves every
+    count of its pattern; a ``PatternSet`` holds one per pattern for as
+    long as the set lives.  Nothing is built before the first count.
     """
-    plans = [_pattern_plan(tuple(p)) for p in patterns]
-    npats = len(plans)
-    width = n + 1
-    levels_of = [[tuple(() for _ in steps[:-1])] for steps in plans]
-    ids = [{table[0]: 0} for table in levels_of]
-    moves: list[dict[int, int]] = [{} for _ in plans]  # id*width+r -> id, -1 blocked
-    memo: dict[tuple, int] = {}
 
-    def blocked(i: int, sid: int, r: int) -> bool:
-        lo, hi = plans[i][-1][:2]
-        levels = levels_of[i][sid]
+    __slots__ = ("pattern", "steps", "levels", "ids", "chains", "moves")
+
+    def __init__(self, pattern: Sequence[int]):
+        self.pattern = tuple(pattern)
+        self.steps: list[tuple] | None = None  # _pattern_plan, set by start()
+        self.levels: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.chains: dict[tuple, tuple] = {}
+        self.moves: dict[tuple[int, int], int] = {}
+
+    def start(self) -> LevelAutomaton:
+        """Compile the plan and intern the root level, id 0, once."""
+        if self.steps is None:
+            self.steps = _pattern_plan(self.pattern)
+            root = tuple(() for _ in self.steps[:-1])
+            self.levels.append(root)
+            self.ids[root] = 0
+        return self
+
+    def blocks(self, sid: int, r: int) -> bool:
+        """Does the unused value of rank r complete an occurrence at level
+        sid?  A yes is recorded as the move -1."""
+        lo, hi = self.steps[-1][:2]
+        levels = self.levels[sid]
         for t in levels[-1] if levels else _ROOT:
             if (lo < 0 or r >= t[lo]) and (hi < 0 or r < t[hi]):
+                self.moves[sid, r] = -1
                 return True
         return False
+
+    def grow(self, sid: int, r: int) -> int:
+        """Build, intern and record the level after appending rank r to sid."""
+        levels = _extend(self.steps, self.levels[sid], r)
+        nxt = self.ids.get(levels)
+        if nxt is None:
+            # levels share few distinct p[:j] tuple sets: keep one copy of each
+            levels = tuple(self.chains.setdefault(c, c) for c in levels)
+            nxt = self.ids[levels] = len(self.levels)
+            self.levels.append(levels)
+        self.moves[sid, r] = nxt
+        return nxt
+
+
+def count_avoiders_memo(
+    n: int, patterns: Sequence[Pattern], automata: Sequence[LevelAutomaton] | None = None
+) -> int:
+    """|S_n(patterns)| with completions counted once per canonical state.
+
+    A prefix state is the tuple of its level ids, one per pattern, in the
+    ``automata`` of the patterns (in the same order), which the call grows
+    in place; without them it builds fresh ones.  Only the memo of counts,
+    keyed by (values left, state), lives for this call alone.
+    """
+    if automata is None:
+        automata = [LevelAutomaton(p) for p in patterns]
+    autos = [a.start() for a in automata]
+    moves = [a.moves for a in autos]
+    npats = len(autos)
+    memo: dict[tuple, int] = {}
 
     def child(state: tuple, r: int) -> tuple | None:
         # every pattern's blocking test runs before any level is rebuilt
         out: list = []
         for i in range(npats):
-            key = state[i] * width + r
-            nxt = moves[i].get(key)
+            nxt = moves[i].get((state[i], r))
             if nxt is None:
-                if blocked(i, state[i], r):
-                    moves[i][key] = -1
+                if autos[i].blocks(state[i], r):
                     return None
             elif nxt < 0:
                 return None
             out.append(nxt)
-        for i in range(npats):
-            if out[i] is None:
-                levels = _extend(plans[i], levels_of[i][state[i]], r)
-                nxt = ids[i].get(levels)
-                if nxt is None:
-                    nxt = ids[i][levels] = len(levels_of[i])
-                    levels_of[i].append(levels)
-                out[i] = moves[i][state[i] * width + r] = nxt
+        if None in out:
+            for i in range(npats):
+                if out[i] is None:
+                    out[i] = autos[i].grow(state[i], r)
         return tuple(out)
 
     # depth first over an explicit stack, so n is not bounded by the

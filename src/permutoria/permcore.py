@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .errors import ZeroObject
-from .kernels import Plan, _ends_at_last, avoiding_words, compile_pattern, occurs
+from .kernels import LevelAutomaton, Plan, _ends_at_last, avoiding_words, compile_pattern, occurs
 
 Word = tuple[int, ...]
 GappedWord = tuple  # entries int or None
@@ -119,12 +119,16 @@ class PatternSet:
 
     Patterns containing another pattern of the set are redundant for
     avoidance and are dropped at construction.  ``plans`` holds the
-    matcher's compiled plan of each pattern, in the same order; it takes no
-    part in equality or hashing.
+    matcher's compiled plan of each pattern, in the same order, and
+    ``automata`` the memoised counter's ``LevelAutomaton`` of each: levels
+    and transitions that every count of the set grows and later counts
+    reuse, for as long as the set lives.  Neither takes part in equality,
+    hashing or repr.
     """
 
     patterns: tuple[Word, ...]
     plans: tuple[Plan, ...] = field(compare=False, repr=False)
+    automata: tuple[LevelAutomaton, ...] = field(compare=False, repr=False)
 
     def __init__(self, patterns):
         pats = {tuple(p) for p in patterns}
@@ -141,6 +145,7 @@ class PatternSet:
         patterns = tuple(sorted(minimal, key=lambda p: (len(p), p)))
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "plans", tuple(compile_pattern(p) for p in patterns))
+        object.__setattr__(self, "automata", tuple(LevelAutomaton(p) for p in patterns))
 
     @classmethod
     def parse(cls, text: str) -> "PatternSet":

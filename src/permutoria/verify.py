@@ -191,9 +191,9 @@ def suite_intro_wilf(scale: Scale) -> SuiteReport:
         ps = PatternSet.parse(pat)
         got = [ct.count_avoiders(n, ps, LIMITS) for n in range(11)]
         rep.check(got == expected, f"|S_n({pat})| table")
+    p1342, p2413 = PatternSet.parse("1342"), PatternSet.parse("2413")
     ok = all(
-        ct.count_avoiders(n, PatternSet.parse("1342"), LIMITS)
-        == ct.count_avoiders(n, PatternSet.parse("2413"), LIMITS)
+        ct.count_avoiders(n, p1342, LIMITS) == ct.count_avoiders(n, p2413, LIMITS)
         for n in range(10)
     )
     rep.check(ok, "1342 and 2413 agree, n<=9")

@@ -34,11 +34,17 @@ class TestCount:
         assert code == 0 and out.strip() == "10\t42"
 
     def test_upto_json(self, capsys):
-        code, out = run(
-            capsys, "count", "--patterns", "123", "--n", "5", "--upto", "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out) == {"0": 1, "1": 1, "2": 2, "3": 5, "4": 14, "5": 42}
+        for pats, table in (
+            ("123", [1, 1, 2, 5, 14, 42]),
+            # A022558, the 1342 and 2413 classes: one set tabulated to n = 9
+            ("2413", [1, 1, 2, 6, 23, 103, 512, 2740, 15485, 91245]),
+        ):
+            code, out = run(
+                capsys, "count", "--patterns", pats, "--n", str(len(table) - 1), "--upto",
+                "--format", "json",
+            )
+            assert code == 0
+            assert json.loads(out) == {str(n): v for n, v in enumerate(table)}, pats
 
     def test_extended_cell(self, capsys):
         code, out = run(capsys, "count", "--patterns", "123", "--dcr", "1,1,0")
@@ -96,6 +102,13 @@ class TestDiscover:
             capsys, "discover", "--patterns", "132", "--depth", "5", "--format", "dot"
         )
         assert code == 0 and out.startswith("digraph") and "style=dashed" in out
+
+    def test_depth_and_fingerprint_depth_share_the_cap(self, capsys):
+        code = main(["discover", "--patterns", "123", "--depth", "6", "--fingerprint-depth", "7"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "depth + fingerprint depth=13 exceeds tree_depth limit 12" in captured.err
 
 
 class TestBiject:
@@ -228,6 +241,7 @@ FLOAT_BOX = '{"outer":[1],"inner":[],"boxShape":[1.5,1],"boxCompanion":[1,1],"ro
         ["discover", "--patterns", "123", "--depth", "2", "--fingerprint-depth", "-1"],
         ["discover", "--patterns", "123", "--depth", "2", "--fingerprint-depth", "0"],
         ["discover", "--patterns", "123", "--depth", "-1"],
+        ["discover", "--patterns", "123", "--depth", "1", "--fingerprint-depth", "20"],
         ["series", "--formula", "x+"],
         ["series", "--formula", "1/(1-x"],
         ["count", "--patterns", "123", "--n", "-1"],
@@ -256,7 +270,7 @@ FLOAT_BOX = '{"outer":[1],"inner":[],"boxShape":[1.5,1],"boxCompanion":[1,1],"ro
     ],
     ids=[
         "tau", "box", "json", "json-key", "dcr", "orders",
-        "fp-depth-negative", "fp-depth-zero", "depth-negative",
+        "fp-depth-negative", "fp-depth-zero", "depth-negative", "fp-depth-above-cap",
         "formula-dangling", "formula-unbalanced",
         "n-negative", "biject-n-negative", "validate-negative",
         "letters-zero", "box-zero",

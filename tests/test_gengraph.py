@@ -2,7 +2,7 @@ import pytest
 
 from permutoria import counting as ct
 from permutoria import gengraph as gg
-from permutoria.errors import InvalidWalk
+from permutoria.errors import InvalidWalk, LimitExceeded
 from permutoria.limits import Limits
 from permutoria.permcore import PatternSet
 from permutoria.series import MultiSeries
@@ -63,6 +63,11 @@ class TestDiscovery:
     def test_rejects_degenerate_depths(self, depth, fp_depth):
         with pytest.raises(ValueError):
             gg.discover_graph(PatternSet.parse("123"), "standard-extended", depth, fp_depth, L)
+
+    def test_fingerprint_depth_counts_toward_the_tree_depth(self):
+        # fingerprints look fp_depth levels below the deepest class
+        with pytest.raises(LimitExceeded, match="depth \\+ fingerprint depth=13 exceeds"):
+            gg.discover_graph(PatternSet.parse("123"), "standard", 1, 12, L)
 
     def test_stability(self):
         assert gg.discovery_is_stable(PatternSet.parse("213,4123"), "standard", 6, 4, L)

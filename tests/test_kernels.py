@@ -16,12 +16,17 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import permutoria
-from permutoria import counting, kernels
-from permutoria.permcore import PatternSet, contains_pattern_bruteforce, is_doubly_alternating
+from permutoria import counting, kernels, permcore
+from permutoria.permcore import (
+    ZERO,
+    PatternSet,
+    contains_pattern_bruteforce,
+    is_doubly_alternating,
+)
 
 
 def brute_avoids(w, patterns):
@@ -121,6 +126,41 @@ def test_memo_matches_plain_sampled(patterns):
         assert kernels.count_avoiders_memo(n, patterns) == kernels.count_avoiders_py(n, patterns)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.lists(pattern, min_size=1, max_size=3), pattern, st.lists(st.integers(0, 7), min_size=1))
+@example([(1, 3, 2, 4)], (2, 1), list(range(7, -1, -1)))  # falling
+@example([(2, 4, 1, 3)], (3, 1, 2), list(range(8)))  # rising
+@example([(2, 1, 3), (4, 1, 2, 3)], (1, 2, 3), [6, 6, 2, 7, 2, 0, 7])  # repeated
+def test_warm_set_counts_match_plain(patterns, extra, ns):
+    # one set counted at n in any order, and a second set sharing a pattern
+    # with it: each grows its own automata across calls
+    first = PatternSet(patterns)
+    second = PatternSet([first.patterns[0], extra])
+    assume(first.patterns[0] in second.patterns)
+    plain: dict[tuple, int] = {}
+    for n in ns:
+        for ps in (first, second):
+            key = (n, ps.patterns)
+            if key not in plain:
+                plain[key] = kernels.count_avoiders_py(n, ps.patterns)
+            assert counting.count_avoiders(n, ps) == plain[key], (n, ps)
+
+
+def test_warm_set_is_still_equal_and_a_cache_key():
+    warm = PatternSet.parse("213,4123")
+    for n in range(9):
+        counting.count_avoiders(n, warm)
+    assert all(len(a.moves) > 1 for a in warm.automata)
+    fresh = PatternSet.parse("213,4123")
+    assert not fresh.automata[0].moves
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    children = permcore.children_with_kinds
+    expected = children(ZERO, "standard", fresh)
+    hits = children.cache_info().hits
+    assert children(ZERO, "standard", warm) is expected
+    assert children.cache_info().hits == hits + 1
+
+
 def test_memo_edge_cases():
     for n in range(8):
         # a length-1 pattern occurs in every nonempty permutation
@@ -145,6 +185,24 @@ def test_memo_does_not_recurse_per_value():
         capture_output=True, text=True, timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+def test_memo_does_not_recurse_on_a_warm_set():
+    # the same, counted twice on one set: the second count reads the
+    # automaton the first one grew
+    code = (
+        "import sys\nfrom permutoria import counting\nfrom permutoria.limits import Limits\n"
+        "from permutoria.permcore import PatternSet\nsys.setrecursionlimit(150)\n"
+        "ps, limits = PatternSet.parse('21'), Limits(enumeration=200)\n"
+        "print(counting.count_avoiders(200, ps, limits), counting.count_avoiders(199, ps, limits))"
+    )
+    src = str(Path(permutoria.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n", "")
 
 
 def test_no_cyclic_garbage():
