@@ -368,22 +368,21 @@ class LevelAutomaton:
     """
 
     __slots__ = ("pattern", "steps", "levels", "ids", "chains", "moves")
+    levels: list[tuple]
+    ids: dict[tuple, int]
+    chains: dict[tuple, tuple]  # one copy of each p[:j] tuple set in levels
+    moves: dict[tuple[int, int], int]
 
     def __init__(self, pattern: Sequence[int]):
         self.pattern = tuple(pattern)
-        self.steps: list[tuple] | None = None  # _pattern_plan, set by start()
-        self.levels: list[tuple] = []
-        self.ids: dict[tuple, int] = {}
-        self.chains: dict[tuple, tuple] = {}
-        self.moves: dict[tuple[int, int], int] = {}
+        self.steps: list[tuple] | None = None  # start() sets it and the tables
 
     def start(self) -> LevelAutomaton:
         """Compile the plan and intern the root level, id 0, once."""
         if self.steps is None:
             self.steps = _pattern_plan(self.pattern)
             root = tuple(() for _ in self.steps[:-1])
-            self.levels.append(root)
-            self.ids[root] = 0
+            self.levels, self.ids, self.chains, self.moves = [root], {root: 0}, {}, {}
         return self
 
     def blocks(self, sid: int, r: int) -> bool:
@@ -402,7 +401,7 @@ class LevelAutomaton:
         levels = _extend(self.steps, self.levels[sid], r)
         nxt = self.ids.get(levels)
         if nxt is None:
-            # levels share few distinct p[:j] tuple sets: keep one copy of each
+            # levels share few distinct p[:j] tuple sets
             levels = tuple(self.chains.setdefault(c, c) for c in levels)
             nxt = self.ids[levels] = len(self.levels)
             self.levels.append(levels)
