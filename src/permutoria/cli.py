@@ -126,7 +126,7 @@ def cmd_count(args) -> int:
         return 0
     if args.dcr is not None:
         if patterns is None:
-            raise SystemExit("--dcr requires --patterns")
+            args.error("--dcr requires --patterns")
         d, c, r = args.dcr
         rows.append((f"{d},{c},{r}", ct.count_extended(d, c, r, patterns, limits)))
     else:
@@ -136,7 +136,7 @@ def cmd_count(args) -> int:
                 rows.append((str(n), ct.count_da(n, patterns, limits)))
             else:
                 if patterns is None:
-                    raise SystemExit("--patterns is required unless --da is given")
+                    args.error("--patterns is required unless --da is given")
                 rows.append((str(n), ct.count_avoiders(n, patterns, limits)))
     _emit_table(rows, args.format)
     return 0
@@ -151,11 +151,11 @@ def cmd_series(args) -> int:
         series = expand_rational(args.formula, orders)
     elif args.brute:
         if not args.patterns:
-            raise SystemExit("--brute requires --patterns")
+            args.error("--brute requires --patterns")
         cells = ct.extended_table(args.patterns, total, DEFAULT_LIMITS)
         series = series_from_cells(cells, orders)
     else:
-        raise SystemExit("need --formula or --brute")
+        args.error("need --formula or --brute")
     items = [(m, v) for m, v in series.items() if sum(m) <= total]
     if args.format == "json":
         print(json.dumps({f"{a},{b},{c}": v for (a, b, c), v in items}))
@@ -190,12 +190,10 @@ def cmd_biject(args) -> int:
     elif args.name == "theta":
         for w in ct.enumerate_da(args.n, PatternSet.parse("2413"), limits):
             rows.append((w, bj.theta(w)))
-    elif args.name == "psi":
+    else:
         head = PatternSet([(1, 2) + args.tau])
         for w in ct.enumerate_da(args.n, head, limits):
             rows.append((w, bj.psi(w, args.tau)))
-    else:
-        raise SystemExit(f"unknown bijection {args.name}")
     for source, image in rows:
         src = ",".join(map(str, source)) if isinstance(source, tuple) else source
         img = ",".join(map(str, image)) if isinstance(image, tuple) else image
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a named sequence instead of counting",
     )
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_count, error=p.error)
 
     p = sub.add_parser("series", help="expand a formula or a brute-force table")
     p.add_argument("--formula", type=_parse_formula, help="expression in x, y, z and c(x)")
@@ -283,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=_parse_orders, default=(6, 4, 4))
     p.add_argument("--total", type=_at_least(0), help="total-degree cap (default: extended limit)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.set_defaults(func=cmd_series)
+    p.set_defaults(func=cmd_series, error=p.error)
 
     p = sub.add_parser("discover", help="discover a generating graph")
     p.add_argument("--patterns", type=PatternSet.parse, required=True)

@@ -7,7 +7,7 @@ bijections elsewhere in the package are validated against these counts.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from math import comb
 from typing import Iterator
@@ -54,33 +54,46 @@ def count_da(n: int, patterns: PatternSet | None = None, limits: Limits = DEFAUL
 # extended avoidance counts via NW corners
 
 
-def _corners_of(word: Word) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    """All (rows, cols, dots) NW corners of a permutation whose own size
-    d+c+r equals the size of the permutation."""
-    n = len(word)
-    prefix_sorted: list[int] = []
-    for i in range(n + 1):
-        if i > 0:
-            v = word[i - 1]
-            prefix_sorted.insert(bisect_right(prefix_sorted, v), v)
-        for j in range(n + 1):
-            d = bisect_right(prefix_sorted, j)
-            if i + j - d == n:
-                dots = tuple((k + 1, word[k]) for k in range(i) if word[k] <= j)
-                yield (i, j, dots)
+def _fresh(words: Iterator[Word]) -> Iterator[tuple[Word, int]]:
+    """Pair each word with the length of its shortest prefix that no earlier
+    word has.
+
+    The words come in lexicographic order, so every earlier word that shares
+    a prefix with a word shares it with the word just before it too: the
+    first new prefix is one longer than the common prefix with the previous
+    word, and the first word's is the empty prefix.
+    """
+    prev: Word | None = None
+    for word in words:
+        if prev is None:
+            start = 0
+        else:
+            start = 1
+            for a, b in zip(prev, word):
+                if a != b:
+                    break
+                start += 1
+        yield word, start
+        prev = word
 
 
 def _cell_corners(
     d: int, c: int, r: int, patterns: PatternSet, limits: Limits
 ) -> set[tuple[tuple[int, int], ...]]:
     """The dots of the distinct NW corners with d dots, d+c columns and d+r
-    rows of the avoiders of size d+c+r."""
+    rows of the avoiders of size d+c+r.
+
+    The corner reads only an avoider's first d+r entries, so an avoider
+    whose first d+r entries are those of the one before it adds nothing.
+    """
     n = d + c + r
     enforce(limits, "extended", "d+c+r", n)
     rows, cols = d + r, d + c
     seen = set()
     wide = replace(limits, enumeration=max(limits.enumeration, n))
-    for word in enumerate_avoiders(n, patterns, wide):
+    for word, start in _fresh(enumerate_avoiders(n, patterns, wide)):
+        if start > rows:
+            continue
         dots = tuple((k + 1, word[k]) for k in range(rows) if word[k] <= cols)
         if len(dots) == d:
             seen.add(dots)
@@ -99,18 +112,38 @@ def extended_table(
 ) -> dict[tuple[int, int, int], int]:
     """All |S_{d,c,r}(patterns)| with d+c+r <= max_total in one sweep.
 
-    For each n the corners with rows+cols-dots = n of the size-n avoiders
-    are exactly the extendably avoiding objects of total size n.
+    For each n the extendably avoiding objects of total size n are the NW
+    corners of the size-n avoiders whose rows + cols - dots is n.  A corner
+    with i rows reads only the prefix of its first i entries, and the
+    values after that prefix are the values 1..n it lacks; with m the
+    largest of them (0 for the whole word), the corners with i rows are
+    those with m..n columns.  Each step from m uncovers one more entry of
+    the prefix, so the corner with j columns has i + j - n dots and lies in
+    the cell (i + j - n, n - i, n - j).  A prefix that an earlier avoider
+    has already passed here yields the same corners again, so only the
+    prefixes ``_fresh`` marks as new are read.  A corner is kept as the
+    prefix with the entries above j blanked to 0, which encodes its dots
+    given its rows and cells.
     """
     enforce(limits, "extended", "max_total", max_total)
-    cells: dict[tuple[int, int, int], set] = {}
+    cells: defaultdict[tuple[int, int, int], set] = defaultdict(set)
     for n in range(max_total + 1):
         wide = replace(limits, enumeration=max(limits.enumeration, n))
-        for word in enumerate_avoiders(n, patterns, wide):
-            for rows, cols, dots in _corners_of(word):
-                d = len(dots)
-                key = (d, cols - d, rows - d)
-                cells.setdefault(key, set()).add((rows, cols, dots))
+        where = [0] * (n + 1)  # where[v]: the index of the value v
+        for word, start in _fresh(enumerate_avoiders(n, patterns, wide)):
+            for k, v in enumerate(word):
+                where[v] = k
+            # tail[i]: the largest value after the prefix of length i
+            tail = [0] * (n + 1)
+            for i in range(n - 1, start - 1, -1):
+                tail[i] = max(tail[i + 1], word[i])
+            for i in range(start, n + 1):
+                m = tail[i]
+                corner = [v if v <= m else 0 for v in word[:i]]
+                for j in range(m, n + 1):
+                    if j > m:
+                        corner[where[j]] = j
+                    cells[i + j - n, n - i, n - j].add(tuple(corner))
     return {key: len(group) for key, group in cells.items()}
 
 

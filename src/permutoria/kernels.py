@@ -461,6 +461,10 @@ def count_avoiders_memo(
         frame[2] = r + 1
         nxt = child(state, r)
         if nxt is None:
+            # the value of rank r completes an occurrence wherever it lands,
+            # so the state is dead: its total is 0 (every child counted so
+            # far kept that value unused), and higher ranks need no try
+            frame[2] = m
             continue
         sub = 1 if m == 1 else memo.get((m - 1, nxt))
         if sub is None:

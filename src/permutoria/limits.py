@@ -5,8 +5,8 @@ variable ``PERMUTORIA_LIMITS`` overrides individual caps, e.g.::
 
     PERMUTORIA_LIMITS="enumeration=12,da=16"
 
-An item with an unknown key or a value that is not an integer is skipped
-with a warning.
+An item with an unknown key, or with a value that is not an integer or is
+negative, is skipped with a warning.
 """
 
 from __future__ import annotations
@@ -54,9 +54,14 @@ def _from_env() -> Limits:
             warnings.warn(f"PERMUTORIA_LIMITS: ignoring {item!r}: unknown key", stacklevel=2)
             continue
         try:
-            overrides[key] = int(value)
+            cap = int(value)
         except ValueError:
             warnings.warn(f"PERMUTORIA_LIMITS: ignoring {item!r}: not an integer", stacklevel=2)
+            continue
+        if cap < 0:
+            warnings.warn(f"PERMUTORIA_LIMITS: ignoring {item!r}: negative", stacklevel=2)
+            continue
+        overrides[key] = cap
     return replace(limits, **overrides)
 
 

@@ -89,16 +89,28 @@ class MultiSeries:
         return self + (-other)
 
     def __mul__(self, other: "MultiSeries") -> "MultiSeries":
+        # other's terms nested by x, then y, then z degree, each level in
+        # increasing order, so every loop stops at the first degree that
+        # leaves the box instead of visiting pairs it then drops
         self._check(other)
         kx, ky, kz = self.orders
+        nested = _nested(other.coeffs)
         out: dict[Monomial, int] = {}
         for (a1, b1, c1), u in self.coeffs.items():
-            for (a2, b2, c2), v in other.coeffs.items():
-                a, b, c = a1 + a2, b1 + b2, c1 + c2
-                if a > kx or b > ky or c > kz:
-                    continue
-                m = (a, b, c)
-                out[m] = out.get(m, 0) + u * v
+            for a2, ys in nested:
+                a = a1 + a2
+                if a > kx:
+                    break
+                for b2, zs in ys:
+                    b = b1 + b2
+                    if b > ky:
+                        break
+                    for c2, v in zs:
+                        c = c1 + c2
+                        if c > kz:
+                            break
+                        m = (a, b, c)
+                        out[m] = out.get(m, 0) + u * v
         return MultiSeries(self.orders, out)
 
     def __pow__(self, exponent: int) -> "MultiSeries":
@@ -122,31 +134,40 @@ class MultiSeries:
             raise NonUnitDivisor("division by a series with zero constant term")
         kx, ky, kz = self.orders
         quotient: dict[Monomial, int] = {}
-        rest = other - MultiSeries.constant(unit, self.orders)
-        # q = (self - rest*q) / unit, resolved by increasing total degree
-        remaining = dict(self.coeffs)
-        for total in range(kx + ky + kz + 1):
-            layer = [
-                m
-                for m in set(remaining)
-                if sum(m) == total and remaining.get(m)
-            ]
+        rest = _nested((other - MultiSeries.constant(unit, self.orders)).coeffs)
+        # q = (self - rest*q) / unit, resolved by increasing total degree;
+        # layers[t] holds what remains of the monomials of total degree t,
+        # and rest has no constant term, so a layer only feeds later ones
+        layers: list[dict[Monomial, int]] = [{} for _ in range(kx + ky + kz + 1)]
+        for m, value in self.coeffs.items():
+            layers[sum(m)][m] = value
+        for layer in layers:
             for m in sorted(layer):
-                value = remaining.pop(m)
+                value = layer[m]
+                if not value:
+                    continue
                 q, r = divmod(value, unit)
                 if r:
                     # exact integer series only; a fractional quotient means
                     # the division is not defined over the integers
                     raise NonUnitDivisor(f"non-integral quotient at {m}")
-                if q == 0:
-                    continue
                 quotient[m] = q
-                for (a2, b2, c2), v in rest.coeffs.items():
-                    a, b, c = m[0] + a2, m[1] + b2, m[2] + c2
-                    if a > kx or b > ky or c > kz:
-                        continue
-                    mm = (a, b, c)
-                    remaining[mm] = remaining.get(mm, 0) - q * v
+                a1, b1, c1 = m
+                for a2, ys in rest:
+                    a = a1 + a2
+                    if a > kx:
+                        break
+                    for b2, zs in ys:
+                        b = b1 + b2
+                        if b > ky:
+                            break
+                        for c2, v in zs:
+                            c = c1 + c2
+                            if c > kz:
+                                break
+                            mm = (a, b, c)
+                            target = layers[a + b + c]
+                            target[mm] = target.get(mm, 0) - q * v
         return MultiSeries(self.orders, quotient)
 
     def __eq__(self, other: object) -> bool:
@@ -164,6 +185,20 @@ class MultiSeries:
     def dump(self) -> str:
         """Deterministic text dump: one 'i,j,k<TAB>coeff' line per monomial."""
         return "\n".join(f"{a},{b},{c}\t{v}" for (a, b, c), v in self.items())
+
+
+def _nested(coeffs: Mapping[Monomial, int]) -> list:
+    """The terms as [(a, [(b, [(c, coeff), ...]), ...]), ...], each level in
+    increasing order of its degree."""
+    out: list = []
+    for (a, b, c), v in sorted(coeffs.items()):
+        if not out or out[-1][0] != a:
+            out.append((a, []))
+        ys = out[-1][1]
+        if not ys or ys[-1][0] != b:
+            ys.append((b, []))
+        ys[-1][1].append((c, v))
+    return out
 
 
 def catalan_series(orders: Orders) -> MultiSeries:

@@ -291,6 +291,25 @@ def test_malformed_input_is_one_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--dcr", "1,1,1"], "--dcr requires --patterns"),
+        (["count", "--n", "3"], "--patterns is required unless --da is given"),
+        (["series", "--brute", "--orders", "3,3,3"], "--brute requires --patterns"),
+        (["series", "--orders", "3,3,3"], "need --formula or --brute"),
+    ],
+    ids=["dcr-without-patterns", "count-without-patterns", "brute-without-patterns",
+         "series-without-source"],
+)
+def test_missing_option_is_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"permutoria {argv[0]}: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "formula",
     ["(" * 300 + "x" + ")" * 300, "+".join(["x"] * 1500), "-" * 1500 + "x"],
     ids=["parentheses", "long-sum", "unary-minus"],

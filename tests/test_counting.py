@@ -1,11 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permutoria import counting as ct
+from permutoria import formulas as fm
 from permutoria.errors import LimitExceeded
 from permutoria.limits import Limits
-from permutoria.permcore import PatternSet, contains_pattern_bruteforce, is_doubly_alternating
+from permutoria.permcore import (
+    PartialPermutation,
+    PatternSet,
+    contains_pattern_bruteforce,
+    extendably_avoids,
+    is_doubly_alternating,
+)
 
 L = Limits(enumeration=11, da=14, extended=10)
 
@@ -121,6 +130,65 @@ class TestExtended:
             assert inv.get((d, r, c), 0) == value
 
 
+ORACLE_TOTAL = 5
+ORACLE_SETS = list(
+    dict.fromkeys([*fm.FORMULAS, *(ps for group in fm.PAIR_TABLE_GROUPS.values() for ps in group)])
+)
+
+
+def extendable_objects(d, c, r, ps):
+    """Every (d+r) x (d+c) partial permutation with d dots that
+    ``extendably_avoids`` keeps, sorted by dots: no avoider is enumerated."""
+    rows, cols = d + r, d + c
+    kept = []
+    for dot_rows in itertools.combinations(range(1, rows + 1), d):
+        for dot_cols in itertools.permutations(range(1, cols + 1), d):
+            pp = PartialPermutation(rows, cols, tuple(zip(dot_rows, dot_cols)))
+            if extendably_avoids(pp, ps):
+                kept.append(pp)
+    return sorted(kept, key=lambda pp: pp.dots)
+
+
+def check_against_oracle(ps):
+    table = ct.extended_table(ps, ORACLE_TOTAL, L)
+    for total in range(ORACLE_TOTAL + 1):
+        for d in range(total + 1):
+            for c in range(total - d + 1):
+                r = total - d - c
+                want = extendable_objects(d, c, r, ps)
+                got = ct.enumerate_extended(d, c, r, ps, L)
+                assert got == want, (str(ps), (d, c, r))
+                assert table.get((d, c, r), 0) == len(want), (str(ps), (d, c, r))
+                assert ct.count_extended(d, c, r, ps, L) == len(want), (str(ps), (d, c, r))
+
+
+class TestExtendedOracle:
+    """Extended counts and objects against ``extendably_avoids`` on every
+    partial permutation of each cell with d+c+r <= ORACLE_TOTAL, the cell
+    (0, 0, 0) of n = 0 included."""
+
+    @pytest.mark.parametrize("ps", ORACLE_SETS, ids=str)
+    def test_catalog_and_pair_table_sets(self, ps):
+        check_against_oracle(ps)
+
+    @pytest.mark.parametrize("text", ["1", "12,21"])
+    def test_sets_whose_avoiders_run_out(self, text):
+        # S_n(1) is empty from n = 1 on, and S_n(12, 21) from n = 2 on
+        check_against_oracle(PatternSet.parse(text))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1))),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @example([(1,), (2, 1, 3)])
+    def test_sampled_sets(self, patterns):
+        check_against_oracle(PatternSet(patterns))
+
+
 class TestSequences:
     def test_catalan(self):
         assert [ct.catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
@@ -170,6 +238,16 @@ class TestLimitsEnv:
             parsed = lm._from_env()
         assert parsed.enumeration == lm.Limits().enumeration and parsed.da == 9
         assert len(caught) == 1 and "enumeration=abc" in str(caught[0].message)
+
+    def test_env_skips_negative(self, monkeypatch):
+        from permutoria import limits as lm
+
+        monkeypatch.setenv("PERMUTORIA_LIMITS", "extended=-5,da=9")
+        with pytest.warns(UserWarning) as caught:
+            parsed = lm._from_env()
+        assert parsed.extended == lm.Limits().extended and parsed.da == 9
+        assert len(caught) == 1
+        assert str(caught[0].message) == "PERMUTORIA_LIMITS: ignoring 'extended=-5': negative"
 
 
 class TestConjectures:

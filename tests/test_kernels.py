@@ -205,6 +205,15 @@ def test_memo_does_not_recurse_on_a_warm_set():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1\n", "")
 
 
+def test_memo_stops_at_a_dead_state():
+    # a state where some unused value completes an occurrence counts 0 and
+    # tries no higher rank: S_200(21) makes 598 moves, not one per pair of
+    # the 200 x 200 (level, rank) pairs
+    ps = PatternSet.parse("21")
+    assert kernels.count_avoiders_memo(200, ps.patterns, ps.automata) == 1
+    assert len(ps.automata[0].moves) < 1000
+
+
 def test_no_cyclic_garbage():
     # garbage kept in a reference cycle lives until the next collector pass,
     # so a long run would hold several counters' tables at once

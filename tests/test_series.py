@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,98 @@ class TestArithmetic:
         t = expand_rational("1/((1-y)*(1-z))", ORDERS)
         assert t.is_yz_symmetric()
         assert t.swap_yz()[(0, 1, 2)] == t[(0, 2, 1)]
+
+
+def sparse_series(orders):
+    """A sparse series in the box of orders, some terms outside it."""
+    kx, ky, kz = orders
+    monomial = st.tuples(st.integers(0, kx + 1), st.integers(0, ky + 1), st.integers(0, kz + 1))
+    table = st.dictionaries(monomial, st.integers(-4, 4), max_size=12)
+    return table.map(lambda t: MultiSeries.from_table(t, orders))
+
+
+def unit_series(orders, units=(-1, 1)):
+    """A sparse series whose constant term is one of units."""
+    return st.tuples(sparse_series(orders), st.sampled_from(units)).map(
+        lambda pair: pair[0] - MultiSeries.constant(pair[0][(0, 0, 0)] - pair[1], orders)
+    )
+
+
+def all_pairs_product(a, b):
+    """Every pair of terms, then truncation to the box."""
+    kx, ky, kz = a.orders
+    out = {}
+    for (a1, b1, c1), u in a.coeffs.items():
+        for (a2, b2, c2), v in b.coeffs.items():
+            m = (a1 + a2, b1 + b2, c1 + c2)
+            out[m] = out.get(m, 0) + u * v
+    return {m: v for m, v in out.items() if v and m[0] <= kx and m[1] <= ky and m[2] <= kz}
+
+
+def first_non_integral(a, b):
+    """The first monomial in graded order (total degree, then lexicographic)
+    at which the quotient a / b over the rationals is not an integer."""
+    kx, ky, kz = a.orders
+    box = sorted(
+        ((i, j, k) for i in range(kx + 1) for j in range(ky + 1) for k in range(kz + 1)),
+        key=lambda m: (sum(m), m),
+    )
+    q = {}
+    for m in box:
+        acc = Fraction(a[m])
+        for n, value in q.items():
+            rest = tuple(x - y for x, y in zip(m, n))
+            if min(rest) >= 0 and rest != (0, 0, 0):
+                acc -= value * b[rest]
+        q[m] = acc / b[(0, 0, 0)]
+        if q[m].denominator != 1:
+            return m
+    return None
+
+
+UNEVEN = [(3, 5, 2), (0, 4, 1)]
+
+
+class TestSparseArithmetic:
+    @pytest.mark.parametrize("orders", UNEVEN)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_product_equals_all_pairs(self, orders, data):
+        a = data.draw(sparse_series(orders))
+        b = data.draw(sparse_series(orders))
+        assert (a * b).coeffs == all_pairs_product(a, b)
+
+    @pytest.mark.parametrize("orders", UNEVEN)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_quotient_times_divisor(self, orders, data):
+        a = data.draw(sparse_series(orders))
+        b = data.draw(unit_series(orders))
+        assert (a / b) * b == a
+
+    @pytest.mark.parametrize("orders", UNEVEN)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_zero_constant_term(self, orders, data):
+        a = data.draw(sparse_series(orders))
+        b = data.draw(unit_series(orders, units=(0,)))
+        with pytest.raises(NonUnitDivisor) as exc:
+            a / b
+        assert str(exc.value) == "division by a series with zero constant term"
+
+    @pytest.mark.parametrize("orders", UNEVEN)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_first_non_integral_monomial(self, orders, data):
+        a = data.draw(sparse_series(orders))
+        b = data.draw(unit_series(orders, units=(2, -3)))
+        at = first_non_integral(a, b)
+        if at is None:
+            assert (a / b) * b == a
+        else:
+            with pytest.raises(NonUnitDivisor) as exc:
+                a / b
+            assert str(exc.value) == f"non-integral quotient at {at}"
 
 
 class TestParser:
