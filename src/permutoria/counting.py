@@ -83,18 +83,22 @@ def _cell_corners(
     """The dots of the distinct NW corners with d dots, d+c columns and d+r
     rows of the avoiders of size d+c+r.
 
-    The corner reads only an avoider's first d+r entries, so an avoider
-    whose first d+r entries are those of the one before it adds nothing.
+    The corner reads only an avoider's first d+r entries, and avoiders come
+    in lexicographic order, so an avoider whose first d+r entries are those
+    of the one before it adds nothing.
     """
     n = d + c + r
     enforce(limits, "extended", "d+c+r", n)
     rows, cols = d + r, d + c
     seen = set()
     wide = replace(limits, enumeration=max(limits.enumeration, n))
-    for word, start in _fresh(enumerate_avoiders(n, patterns, wide)):
-        if start > rows:
+    prev = None
+    for word in enumerate_avoiders(n, patterns, wide):
+        head = word[:rows]
+        if head == prev:
             continue
-        dots = tuple((k + 1, word[k]) for k in range(rows) if word[k] <= cols)
+        prev = head
+        dots = tuple((k, v) for k, v in enumerate(head, 1) if v <= cols)
         if len(dots) == d:
             seen.add(dots)
     return seen
