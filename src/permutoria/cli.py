@@ -188,6 +188,8 @@ def cmd_biject(args) -> int:
         for w in ct.enumerate_avoiders(args.n, PatternSet.parse("1234"), limits):
             rows.append((w, bj.phi(w)))
     elif args.name == "theta":
+        if args.n % 2:
+            args.error("theta needs an even --n")
         for w in ct.enumerate_da(args.n, PatternSet.parse("2413"), limits):
             rows.append((w, bj.theta(w)))
     else:
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=("phi", "theta", "psi"), required=True)
     p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--tau", type=_parse_tail, default="34", help="pattern tail for psi, e.g. 34")
-    p.set_defaults(func=cmd_biject)
+    p.set_defaults(func=cmd_biject, error=p.error)
 
     p = sub.add_parser("tableau", help="apply a tableau map to a JSON tableau")
     p.add_argument(

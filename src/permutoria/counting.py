@@ -77,31 +77,24 @@ def _fresh(words: Iterator[Word]) -> Iterator[tuple[Word, int]]:
         prev = word
 
 
-def _cell_corners(
-    d: int, c: int, r: int, patterns: PatternSet, limits: Limits
-) -> set[tuple[tuple[int, int], ...]]:
-    """The dots of the distinct NW corners with d dots, d+c columns and d+r
-    rows of the avoiders of size d+c+r.
+def _cell_corners(d: int, c: int, r: int, patterns: PatternSet, limits: Limits) -> set[Word]:
+    """The distinct NW corners with d dots, d+c columns and d+r rows of the
+    avoiders of size d+c+r, in ``extended_table``'s encoding.
 
-    The corner reads only an avoider's first d+r entries, and avoiders come
-    in lexicographic order, so an avoider whose first d+r entries are those
-    of the one before it adds nothing.
+    This is that sweep's rule at i = d+r rows and j = d+c columns: a prefix
+    that ``_fresh`` marks as new yields a corner in the cell when every
+    value after it is at most j, and the corner is the prefix with the
+    entries above j blanked to 0.
     """
     n = d + c + r
     enforce(limits, "extended", "d+c+r", n)
     rows, cols = d + r, d + c
-    seen = set()
     wide = replace(limits, enumeration=max(limits.enumeration, n))
-    prev = None
-    for word in enumerate_avoiders(n, patterns, wide):
-        head = word[:rows]
-        if head == prev:
-            continue
-        prev = head
-        dots = tuple((k, v) for k, v in enumerate(head, 1) if v <= cols)
-        if len(dots) == d:
-            seen.add(dots)
-    return seen
+    return {
+        tuple(v if v <= cols else 0 for v in word[:rows])
+        for word, start in _fresh(enumerate_avoiders(n, patterns, wide))
+        if start <= rows and max(word[rows:], default=0) <= cols
+    }
 
 
 def count_extended(
@@ -154,9 +147,12 @@ def extended_table(
 def enumerate_extended(
     d: int, c: int, r: int, patterns: PatternSet, limits: Limits = DEFAULT_LIMITS
 ) -> list[PartialPermutation]:
-    """The elements of S_{d,c,r}(patterns), deterministic order."""
-    corners = sorted(_cell_corners(d, c, r, patterns, limits))
-    return [PartialPermutation(d + r, d + c, dots) for dots in corners]
+    """The elements of S_{d,c,r}(patterns), sorted by their dots."""
+    dots = sorted(
+        tuple((k, v) for k, v in enumerate(corner, 1) if v)
+        for corner in _cell_corners(d, c, r, patterns, limits)
+    )
+    return [PartialPermutation(d + r, d + c, each) for each in dots]
 
 
 # ---------------------------------------------------------------------------

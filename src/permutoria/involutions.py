@@ -10,15 +10,17 @@ suites can play them against each other.
 Every sliding route (``jdt``, ``jdt_slide``, ``evacuation`` and
 ``tableau_switch_sliding``) moves its holes with the one jeu-de-taquin slide
 ``_slide`` on a ``{(row, col): entry}`` grid.  The Bender-Knuth routes
-(``bender_knuth``, ``apply_bk_word``, ``tableau_switch``, ``omega_bk``) work
-on the rows or on their cut form and share no code with it.
+(``bender_knuth``, ``apply_bk_word``, ``tableau_switch``, ``omega``) work
+on the rows or on their cut form and share no code with it.  ``omega`` runs
+its three switchings as one Bender-Knuth word; the suites check it against
+``reversal(rotate(t))``.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -551,16 +553,12 @@ def _orientation_of(t: SkewTableau) -> str:
     raise NotLR("orientation flag not set")
 
 
-def _assert_canonical(t: SkewTableau):
-    expect = canonical(t.outer)
+def _assert_is(t: SkewTableau, expect: SkewTableau):
+    """Raise unless t has the shape and filling of expect, the canonical
+    tableau of its branch (anti-canonical when expect is on the anti branch)."""
     if (t.outer, t.inner, t.rows) != (expect.outer, expect.inner, expect.rows):
-        raise CanonicalAssertFailed(f"expected the canonical tableau, got\n{t.pretty()}")
-
-
-def _assert_anti_canonical(t: SkewTableau):
-    expect = anti_canonical(t.outer, box2=(t.letters, t.box2[1]))
-    if (t.outer, t.inner, t.rows) != (expect.outer, expect.inner, expect.rows):
-        raise CanonicalAssertFailed(f"expected the anti-canonical tableau, got\n{t.pretty()}")
+        name = "anti-canonical" if expect.orientation == "anti" else "canonical"
+        raise CanonicalAssertFailed(f"expected the {name} tableau, got\n{t.pretty()}")
 
 
 def _symmetry_map(t: SkewTableau, dual: bool) -> SkewTableau:
@@ -578,7 +576,8 @@ def _symmetry_map(t: SkewTableau, dual: bool) -> SkewTableau:
         raise NotLR("flag says anti-Littlewood-Richardson but the rotation is not")
     helper = anti_canonical if lr == dual else canonical
     first, second = tableau_switch(helper(t.inner), t)
-    (_assert_canonical if lr else _assert_anti_canonical)(first)
+    box2 = (first.letters, first.box2[1])
+    _assert_is(first, canonical(first.outer) if lr else anti_canonical(first.outer, box2))
     return _with_orientation(second, FLIP_ORIENTATION[t.orientation]) if dual else second
 
 
@@ -605,7 +604,7 @@ def rsk_tableau_inverse(p: SkewTableau, q: SkewTableau, shape_outer: Partition, 
     tau_q = companion(q, shape_outer, shape_inner)
     moved = rho(_with_orientation(tau_q, "lr"))
     first, second = tableau_switch(p, moved)
-    _assert_canonical(first)
+    _assert_is(first, canonical(first.outer))
     return _with_orientation(second, None)
 
 
@@ -614,41 +613,32 @@ def rsk_tableau_inverse(p: SkewTableau, q: SkewTableau, shape_outer: Partition, 
 
 
 def omega(t: SkewTableau) -> SkewTableau:
-    """Three consecutive switchings taking the shape to its rotation."""
-    r1, c1 = t.box1
-    lam, mu = t.outer, t.inner
-    lam_c = complement_in_box(lam, r1, c1)
-    inner_can = canonical(mu)
-    outer_can = rotate(canonical(lam_c, box1=(r1, c1), orientation=None))
-    t1, s1 = tableau_switch(inner_can, t)
-    u, s2 = tableau_switch(s1, outer_can)
-    v, t2 = tableau_switch(t1, u)
-    expect_outer = complement_in_box(mu, r1, c1)
-    expect_inner = lam_c
-    if (t2.outer, t2.inner) != (expect_outer, expect_inner):
-        raise CanonicalAssertFailed(
-            f"rotated shape mismatch: got {t2.outer}/{t2.inner}, "
-            f"expected {expect_outer}/{expect_inner}"
-        )
-    return replace(t2, box1=t.box1, box2=t.box2, orientation=t.orientation)
+    """Three consecutive switchings taking the shape to its rotation.
 
-
-def omega_bk(t: SkewTableau) -> SkewTableau:
-    """The same map as one flat Bender-Knuth word on the boxed union."""
+    With canonical(mu) inside t and the rotated canonical tableau of the
+    box complement of lam outside it, the union is switched three times:
+    t past canonical(mu), canonical(mu) past the outer one, then t past
+    that one.  Bender-Knuth involutions compose, so the three block words
+    run as one word on the cut form of the boxed union, and t's image is
+    read off the middle letters.
+    """
     r1, c1 = t.box1
     lam, mu = t.outer, t.inner
     lam_c = complement_in_box(lam, r1, c1)
     inner_can = canonical(mu)
     outer_can = rotate(canonical(lam_c, box1=(r1, c1), orientation=None))
     k, l, m = inner_can.letters, t.letters, outer_can.letters
-    if not (inner_can.size() or t.size() or outer_can.size()):
-        return t
     cuts = _stacked_cuts((inner_can, t, outer_can), r1)
     _bk_cuts(cuts, t_word(k, l) + t_word(k, m, d=l) + t_word(l, m))
-    out_outer = complement_in_box(mu, r1, c1)
-    out_inner = complement_in_box(lam, r1, c1)
-    rows = _rows_from_cuts(cuts, m + 1, m + l)[: len(out_outer)]
-    return SkewTableau(out_outer, out_inner, rows, t.box1, t.box2, t.orientation)
+    got_inner, got_outer = normalize(tuple(cuts[m])), normalize(tuple(cuts[m + l]))
+    expect_outer = complement_in_box(mu, r1, c1)
+    if (got_outer, got_inner) != (expect_outer, lam_c):
+        raise CanonicalAssertFailed(
+            f"rotated shape mismatch: got {got_outer}/{got_inner}, "
+            f"expected {expect_outer}/{lam_c}"
+        )
+    rows = _rows_from_cuts(cuts, m + 1, m + l)[: len(expect_outer)]
+    return SkewTableau(expect_outer, lam_c, rows, t.box1, t.box2, t.orientation)
 
 
 # ---------------------------------------------------------------------------

@@ -255,12 +255,18 @@ class SkewTableau:
                 raise NotATableau(f"{key} must hold integers, got {list(values)}")
             return values
 
+        def box(key: str) -> tuple[int, int]:
+            values = ints(key, obj[key])
+            if len(values) != 2 or min(values) < 0:
+                raise NotATableau(f"{key} must be two nonnegative integers, got {list(values)}")
+            return values
+
         return cls(
             normalize(ints("outer", obj["outer"])),
             normalize(ints("inner", obj["inner"])),
             tuple(ints("rows", r) for r in obj["rows"]),
-            ints("boxShape", obj["boxShape"]),
-            ints("boxCompanion", obj["boxCompanion"]),
+            box("boxShape"),
+            box("boxCompanion"),
         )
 
 

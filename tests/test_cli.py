@@ -227,6 +227,7 @@ FLOAT_ENTRY = (
     '{"outer":[1],"inner":[],"boxShape":[1,1],"boxCompanion":[1,1],"rows":[[1.0]]}'
 )
 FLOAT_BOX = '{"outer":[1],"inner":[],"boxShape":[1.5,1],"boxCompanion":[1,1],"rows":[[1]]}'
+GOOD_TABLEAU = '{"outer":[1],"inner":[],"boxShape":[1,1],"boxCompanion":[1,1],"rows":[[1]]}'
 
 
 @pytest.mark.parametrize(
@@ -267,6 +268,12 @@ FLOAT_BOX = '{"outer":[1],"inner":[],"boxShape":[1.5,1],"boxCompanion":[1,1],"ro
             for op in ("rotate", "omega", "rsk", "rec")
         ),
         ["tableau", "--op", "rec", "--input", FLOAT_ENTRY.replace("1.0", "true")],
+        ["tableau", "--op", "rotate", "--input",
+         GOOD_TABLEAU.replace('"boxCompanion":[1,1]', '"boxCompanion":[2,-5]')],
+        ["tableau", "--op", "rotate", "--input",
+         GOOD_TABLEAU.replace('"boxCompanion":[1,1]', '"boxCompanion":[2,2,7]')],
+        ["tableau", "--op", "rotate", "--input",
+         GOOD_TABLEAU.replace('"boxShape":[1,1]', '"boxShape":[2]')],
     ],
     ids=[
         "tau", "box", "json", "json-key", "dcr", "orders",
@@ -279,7 +286,7 @@ FLOAT_BOX = '{"outer":[1],"inner":[],"boxShape":[1.5,1],"boxCompanion":[1,1],"ro
         "scale-above-cap", "box-above-cap", "letters-above-cap",
         "float-entry-rec", "float-entry-omega", "float-entry-rsk",
         "float-box-rotate", "float-box-omega", "float-box-rsk", "float-box-rec",
-        "bool-entry",
+        "bool-entry", "box-negative", "box-three-parts", "box-one-part",
     ],
 )
 def test_malformed_input_is_one_line(capsys, argv):
@@ -297,9 +304,10 @@ def test_malformed_input_is_one_line(capsys, argv):
         (["count", "--n", "3"], "--patterns is required unless --da is given"),
         (["series", "--brute", "--orders", "3,3,3"], "--brute requires --patterns"),
         (["series", "--orders", "3,3,3"], "need --formula or --brute"),
+        (["biject", "--name", "theta", "--n", "1"], "theta needs an even --n"),
     ],
     ids=["dcr-without-patterns", "count-without-patterns", "brute-without-patterns",
-         "series-without-source"],
+         "series-without-source", "theta-odd-n"],
 )
 def test_missing_option_is_one_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -114,6 +114,13 @@ class TestExtended:
         for (d, c, r), value in table.items():
             assert value == ct.count_extended(d, c, r, ps, L)
 
+    @pytest.mark.parametrize("pat", ["123", "2413,3142"])
+    def test_objects_sorted_by_dots(self, pat):
+        ps = PatternSet.parse(pat)
+        for d, c, r in [(1, 2, 2), (2, 2, 1), (2, 1, 3), (3, 2, 2)]:
+            dots = [pp.dots for pp in ct.enumerate_extended(d, c, r, ps, L)]
+            assert dots == sorted(set(dots)), (pat, (d, c, r))
+
     def test_extended_objects_are_extendable(self):
         from permutoria.permcore import extendably_avoids
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from permutoria import involutions as iv
 from permutoria import tableau as tb
 from permutoria.errors import (
+    CanonicalAssertFailed,
     NotInnerCorner,
     NotLR,
     NotPartitionShaped,
@@ -23,6 +24,13 @@ def small_universe():
 
 
 LR_SMALL = list(lr_universe(3, 3, 3))
+IN_LARGER_BOX = tb.make_tableau([[1], [1, 2]], inner=(1,), box1=(3, 3), box2=(2, 2), orientation="lr")
+OMEGA_CASES = {
+    "empty": tb.EMPTY,
+    "fills-box": tb.make_tableau([[1, 1], [2, 2]], box1=(2, 2), box2=(2, 2)),
+    "larger-box": IN_LARGER_BOX,
+    "anti": tb.rotate(IN_LARGER_BOX),
+}
 
 
 class TestJdt:
@@ -297,10 +305,34 @@ class TestRhoOmega:
 
     def test_omega_routes_and_involution(self):
         for t in ssyt_universe(3, 3, 2):
-            a, b = iv.omega(t), iv.omega_bk(t)
+            a = iv.omega(t)
             c = iv.reversal(tb.rotate(t))
-            assert ck(a) == ck(b) == ck(c)
+            assert ck(a) == ck(c)
             assert ck(iv.omega(a)) == ck(t)
+
+    @pytest.mark.parametrize("t", OMEGA_CASES.values(), ids=OMEGA_CASES.keys())
+    def test_omega_edge_shapes(self, t):
+        # boxes and orientation included, not only the content
+        om = iv.omega(t)
+        assert om == iv.reversal(tb.rotate(t))
+        assert iv.omega(om) == t
+
+    def test_omega_checks_the_rotated_shape(self, monkeypatch):
+        # with the word skipped, the union keeps its shapes and the check fires
+        monkeypatch.setattr(iv, "_bk_cuts", lambda cuts, word: None)
+        with pytest.raises(CanonicalAssertFailed, match="rotated shape mismatch"):
+            iv.omega(IN_LARGER_BOX)
+
+    @pytest.mark.parametrize("branch, name", [("lr", "canonical"), ("anti", "anti-canonical")])
+    def test_symmetry_map_names_the_tableau_it_expected(self, monkeypatch, branch, name):
+        t = tb.make_tableau([[], [1]], inner=(2, 1), box1=(3, 3), box2=(1, 1), orientation="lr")
+        if branch == "anti":
+            t = tb.rotate(t)
+        # with a switch that moves nothing, rho_dual's helper (two rows, so
+        # canonical and anti-canonical differ) stays where the other is expected
+        monkeypatch.setattr(iv, "tableau_switch", lambda s, u: (s, u))
+        with pytest.raises(CanonicalAssertFailed, match=f"^expected the {name} tableau, got"):
+            iv.rho_dual(t)
 
     def test_diagram_negative(self):
         # a flagged but corrupted tableau surfaces as failures, silently

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -324,6 +325,15 @@ class TestSerialization:
             t.box1,
             t.box2,
         )
+
+    @pytest.mark.parametrize(
+        "key, box", [("boxCompanion", [2, -5]), ("boxCompanion", [2, 2, 7]), ("boxShape", [2])]
+    )
+    def test_json_box_is_two_nonnegative_integers(self, key, box):
+        obj = json.loads(tb.make_tableau([[1]]).to_json())
+        obj[key] = box
+        with pytest.raises(NotATableau, match=f"^{key} must be two nonnegative integers"):
+            tb.SkewTableau.from_json(json.dumps(obj))
 
     def test_pretty(self):
         t = tb.make_tableau([[1], [1, 2]], inner=(1,))
